@@ -6,6 +6,11 @@
 //   run_dumbbell    — Fig 5(a): N MPTCP + 2N TCP over two bottlenecks (Fig 6)
 //   run_datacenter  — FatTree / VL2 / BCube / EC2-like cloud (Figs 10, 12-16)
 //   run_wireless    — WiFi + 4G heterogeneous wireless (Figs 2, 17)
+//   run_handover    — wireless under scripted dynamics + WiFi<->LTE handover
+//   run_flaky_wifi  — the WiFi path degrades mid-run; the CC shifts traffic
+//   run_chaos_heal  — faulted vs baseline two-path run, must re-converge
+//
+// The fleet-scale runner, run_fleet, lives in fleet/runner.h.
 //
 // Each runner has two forms: the (SimContext&, options) form executes the
 // run inside the given per-run context (the sweep engine passes an isolated

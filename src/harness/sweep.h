@@ -3,10 +3,10 @@
 //
 // The pieces:
 //   - ScenarioSpec: a named, self-describing wrapper around one scenario
-//     runner (two_path, dumbbell, datacenter, wireless). It declares its
-//     parameter schema (names, defaults, help) and maps a flat string
-//     ParamMap to the runner's typed options, returning a flat row of
-//     numeric results.
+//     runner (one of the families in scenario/family.h, or a .mpcc
+//     experiment built on one). It declares its parameter schema (names,
+//     defaults, help) and maps a flat string ParamMap to the runner's
+//     typed options, returning a flat row of numeric results.
 //   - SweepPlan: scenario + axes (parameter name -> value list) + seed
 //     replication. points() expands the cartesian product; every point is a
 //     complete ParamMap.
@@ -88,7 +88,7 @@ struct ScenarioSpec {
 };
 
 /// Process-wide scenario registry. register_builtin_scenarios() populates
-/// it with the four paper scenarios; tests may add their own.
+/// it with one scenario per family; tests may add their own.
 class ScenarioRegistry {
  public:
   static ScenarioRegistry& instance();
@@ -110,7 +110,8 @@ class ScenarioRegistry {
   std::vector<std::unique_ptr<ScenarioSpec>> specs_;
 };
 
-/// Registers the paper scenarios (two_path / dumbbell / datacenter /
+/// Registers one scenario per family (scenario/family.h): the paper
+/// scenarios (two_path / dumbbell / datacenter / fleet / chaos_heal /
 /// wireless / handover / flaky_wifi) plus "selftest", a tiny synthetic
 /// scenario whose mode parameter can make a run succeed, throw, trip an
 /// invariant, or hang — used to exercise the harness's own failure

@@ -1,7 +1,10 @@
 #include "scenario/family.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <initializer_list>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -14,58 +17,334 @@ namespace mpcc::scenario {
 namespace {
 
 using namespace mpcc::harness;
+using enum UnitKind;
+
+// ------------------------------------------------------------ knob rows
+//
+// A knob row declares one family parameter once: name, help, DSL spelling
+// and a binding onto one field of the runner's options. The binding is a
+// captureless function that hands that field to a Field, which works in one
+// of two directions:
+//   - apply: the parameter is present in a run's ParamMap, and the field
+//     takes its value through param_* (a malformed value warns and keeps
+//     the field) with the unit conversion the parameter name promises;
+//   - show: the field's value is rendered as the schema default, from a
+//     default-constructed options struct.
+// A parameter absent from the ParamMap leaves its field at the options
+// default, so passing every listed default changes nothing (scenario_test
+// pins this). The conversions are part of the golden-bank contract:
+// changing one invalidates scenarios/golden/.
+
+// Shortest decimal text that parses back to the same double.
+std::string shortest(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+class Field {
+ public:
+  /// Apply mode: parameter `name` is present in `params`; `family` names
+  /// the family in choice errors.
+  Field(const ParamMap& params, const std::string& family, const std::string& name)
+      : params_(&params), family_(&family), name_(&name) {}
+  /// Show mode: renders the field into `shown`.
+  explicit Field(std::string& shown) : shown_(&shown) {}
+
+  void text(std::string& x) {
+    if (shown_ != nullptr) {
+      *shown_ = x;
+    } else {
+      x = param_string(*params_, *name_, x);
+    }
+  }
+  void flag(bool& x) {
+    if (shown_ != nullptr) {
+      *shown_ = x ? "1" : "0";
+    } else {
+      x = param_bool(*params_, *name_, x);
+    }
+  }
+  template <typename Int>
+  void count(Int& x) {
+    if (shown_ != nullptr) {
+      *shown_ = std::to_string(static_cast<std::int64_t>(x));
+    } else {
+      x = static_cast<Int>(param_int(*params_, *name_, static_cast<std::int64_t>(x)));
+    }
+  }
+  void number(double& x) {
+    convert(x, [](double v) { return v; }, [](double v) { return v; });
+  }
+  void time_s(SimTime& x) { convert(x, to_seconds, seconds); }
+  void time_ms(SimTime& x) { convert(x, to_ms, ms); }
+  /// A field kept in seconds, set in milliseconds.
+  void time_ms(double& secs) {
+    convert(secs, [](double s) { return s * 1e3; }, [](double m) { return m / 1e3; });
+  }
+  void rate_mbps(Rate& x) { convert(x, to_mbps, mbps); }
+  void size_mb(Bytes& x) {
+    convert(x, [](Bytes b) { return double(b) / 1e6; },
+            [](double mb) { return static_cast<Bytes>(mb * 1e6); });
+  }
+  /// An enum field spelled by name. An unknown name throws, listing the
+  /// valid ones: unknown fleet topo "x" (fattree|vl2|bcube|cloud).
+  template <typename E>
+  void choice(E& x, const char* what,
+              std::initializer_list<std::pair<const char*, E>> names) {
+    if (shown_ != nullptr) {
+      for (const auto& [name, e] : names) {
+        if (e == x) *shown_ = name;
+      }
+      return;
+    }
+    const std::string value = param_string(*params_, *name_, "");
+    std::string valid;
+    for (const auto& [name, e] : names) {
+      if (value == name) {
+        x = e;
+        return;
+      }
+      valid += (valid.empty() ? "" : "|") + std::string(name);
+    }
+    throw std::invalid_argument("unknown " + *family_ + " " + what + " \"" +
+                                value + "\" (" + valid + ")");
+  }
+
+ private:
+  // The parameter holds to_param(x); a present value v sets x = from_param(v).
+  template <typename T, typename To, typename From>
+  void convert(T& x, To to_param, From from_param) {
+    if (shown_ != nullptr) {
+      *shown_ = shortest(to_param(x));
+    } else {
+      x = from_param(param_double(*params_, *name_, to_param(x)));
+    }
+  }
+
+  const ParamMap* params_ = nullptr;
+  const std::string* family_ = nullptr;
+  const std::string* name_ = nullptr;
+  std::string* shown_ = nullptr;
+};
+
+/// Where a knob sits in the .mpcc DSL. The blocks `dyn` and `chaos` mark
+/// the parameter that receives that block's text; an empty block means the
+/// parameter is reachable through set/param only.
+struct Dsl {
+  const char* block = "";
+  const char* key = "";
+  UnitKind unit = kString;
+};
+
+Dsl topo(const char* key, UnitKind unit) { return {"topo", key, unit}; }
+Dsl flow(const char* key, UnitKind unit) { return {"flow", key, unit}; }
+Dsl arrivals(const char* key, UnitKind unit) { return {"arrivals", key, unit}; }
+Dsl matrix(const char* key, UnitKind unit) { return {"matrix", key, unit}; }
+Dsl fidelity(const char* key, UnitKind unit) { return {"fidelity", key, unit}; }
+
+template <typename O>
+struct Row {
+  std::string name;
+  const char* help;
+  Dsl dsl;
+  void (*bind)(Field&, O&);
+};
+
+/// One entry of a family's knob list: a row, or a shared group of rows
+/// spliced in place.
+template <typename O>
+struct Rows {
+  Rows(const char* name, const char* help, Dsl dsl, void (*bind)(Field&, O&))
+      : rows{{name, help, dsl, bind}} {}
+  Rows(Row<O> row) : rows{std::move(row)} {}
+  Rows(std::vector<Row<O>> group) : rows(std::move(group)) {}
+  std::vector<Row<O>> rows;
+};
+
+// Builds a family from its knob rows. The schema, the DSL spellings and the
+// point function are derived here, once, when the family table is built;
+// `point` runs the runner on the applied options and flattens the result.
+template <typename O>
+FamilySpec family(std::string name, std::string help,
+                  std::initializer_list<Rows<O>> knobs,
+                  ResultRow (*point)(SimContext&, const O&),
+                  std::vector<std::string> columns) {
+  FamilySpec f;
+  f.name = std::move(name);
+  f.help = std::move(help);
+  f.columns = std::move(columns);
+  std::vector<Row<O>> rows;
+  for (const Rows<O>& part : knobs) {
+    rows.insert(rows.end(), part.rows.begin(), part.rows.end());
+  }
+  O defaults;
+  for (const Row<O>& row : rows) {
+    std::string shown;
+    Field field(shown);
+    row.bind(field, defaults);
+    f.params.push_back({row.name, shown, row.help});
+    const std::string block = row.dsl.block;
+    if (block == "dyn") {
+      f.dyn_param = row.name;
+    } else if (block == "chaos") {
+      f.chaos_param = row.name;
+    } else if (!block.empty()) {
+      f.spellings.push_back({block, row.dsl.key, row.name, row.dsl.unit});
+    }
+  }
+  // Every runner also takes the replicate seed, which the sweep engine puts
+  // into every point and no schema lists.
+  rows.push_back({"seed", "", {}, [](Field& fd, O& o) { fd.count(o.seed); }});
+  // Shared, so that copying the run function (every build_scenario does)
+  // does not copy the rows.
+  f.run = [rows = std::make_shared<const std::vector<Row<O>>>(std::move(rows)),
+           family_name = f.name, point](SimContext& ctx, const ParamMap& p) {
+    O o;
+    for (const Row<O>& row : *rows) {
+      if (p.count(row.name) == 0) continue;
+      Field field(p, family_name, row.name);
+      row.bind(field, o);
+    }
+    return point(ctx, o);
+  };
+  return f;
+}
+
+// ------------------------------------- knobs shared by several families
+
+template <typename O>
+Row<O> cc(const char* help) {
+  return {"cc", help, flow("cc", kString), [](Field& f, O& o) { f.text(o.cc); }};
+}
+
+template <typename O>
+Row<O> duration(const char* help = "simulated seconds") {
+  return {"duration_s", help, flow("duration", kTimeS),
+          [](Field& f, O& o) { f.time_s(o.duration); }};
+}
+
+template <typename O>
+Row<O> recv_buffer(const char* help = "receive buffer, bytes") {
+  return {"recv_buffer", help, flow("recv_buffer", kSizeB),
+          [](Field& f, O& o) { f.count(o.recv_buffer); }};
+}
+
+template <typename O>
+Row<O> chaos(
+    const char* help = "chaos campaign (chaos/spec.h syntax, or @file); empty = none") {
+  return {"chaos", help, {"chaos"}, [](Field& f, O& o) { f.text(o.chaos); }};
+}
+
+template <typename O>
+Row<O> dead_after_timeouts() {
+  return {"dead_after_timeouts",
+          "consecutive RTOs before a subflow is dead (0 = never)",
+          flow("dead_after_timeouts", kNumber),
+          [](Field& f, O& o) { f.count(o.dead_after_timeouts); }};
+}
+
+template <typename O>
+Row<O> cross_traffic() {
+  return {"cross_traffic", "enable Pareto cross-traffic bursts",
+          topo("cross_traffic", kBool),
+          [](Field& f, O& o) { f.flag(o.topo.cross_traffic); }};
+}
+
+// The DTS-EP price knobs.
+template <typename O>
+std::vector<Row<O>> price() {
+  return {
+      {"kappa", "energy-price weight kappa_s (dts-ep)", flow("kappa", kNumber),
+       [](Field& f, O& o) { f.number(o.price.kappa); }},
+      {"rho", "per-unit-traffic energy cost rho (dts-ep)", flow("rho", kNumber),
+       [](Field& f, O& o) { f.number(o.price.rho); }},
+      {"eta", "queue-excess indicator weight (dts-ep)", flow("eta", kNumber),
+       [](Field& f, O& o) { f.number(o.price.eta); }},
+      {"delay_target_ms", "queueing-delay target Q (dts-ep)",
+       flow("delay_target", kTimeMs),
+       [](Field& f, O& o) { f.time_ms(o.price.queue_delay_target); }},
+  };
+}
+
+// The two-path links (two_path, chaos_heal).
+template <typename O>
+std::vector<Row<O>> two_path_links() {
+  return {
+      {"rate0_mbps", "path-0 bottleneck rate", topo("path0.rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.topo.rate[0]); }},
+      {"rate1_mbps", "path-1 bottleneck rate", topo("path1.rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.topo.rate[1]); }},
+      {"delay0_ms", "path-0 one-way delay", topo("path0.delay", kTimeMs),
+       [](Field& f, O& o) { f.time_ms(o.topo.delay[0]); }},
+      {"delay1_ms", "path-1 one-way delay", topo("path1.delay", kTimeMs),
+       [](Field& f, O& o) { f.time_ms(o.topo.delay[1]); }},
+      cross_traffic<O>(),
+  };
+}
+
+// The WiFi and cellular links (wireless, handover, flaky_wifi).
+template <typename O>
+std::vector<Row<O>> wireless_links() {
+  return {
+      {"wifi_rate_mbps", "WiFi link rate", topo("wifi.rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.topo.wifi.rate); }},
+      {"wifi_delay_ms", "WiFi one-way delay", topo("wifi.delay", kTimeMs),
+       [](Field& f, O& o) { f.time_ms(o.topo.wifi.delay); }},
+      {"wifi_loss", "WiFi random loss rate", topo("wifi.loss", kNumber),
+       [](Field& f, O& o) { f.number(o.topo.wifi.loss_rate); }},
+      {"cell_rate_mbps", "cellular link rate", topo("cell.rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.topo.cellular.rate); }},
+      {"cell_delay_ms", "cellular one-way delay", topo("cell.delay", kTimeMs),
+       [](Field& f, O& o) { f.time_ms(o.topo.cellular.delay); }},
+      cross_traffic<O>(),
+  };
+}
+
+// The DC fabric choice and sizes (datacenter, fleet).
+template <typename O>
+Row<O> fabric() {
+  return {"topo", "fabric: fattree|vl2|bcube|cloud", topo("fabric", kString),
+          [](Field& f, O& o) {
+            f.choice(o.topo, "topo",
+                     {{"fattree", DcTopo::kFatTree},
+                      {"vl2", DcTopo::kVl2},
+                      {"bcube", DcTopo::kBCube},
+                      {"cloud", DcTopo::kVirtualCloud}});
+          }};
+}
+
+template <typename O>
+std::vector<Row<O>> fabric_sizes() {
+  return {
+      {"fattree_k", "FatTree arity (even)", topo("fattree.k", kNumber),
+       [](Field& f, O& o) { f.count(o.fat_tree.k); }},
+      {"bcube_n", "BCube switch port count", topo("bcube.n", kNumber),
+       [](Field& f, O& o) { f.count(o.bcube.n); }},
+      {"bcube_k", "BCube levels minus one", topo("bcube.k", kNumber),
+       [](Field& f, O& o) { f.count(o.bcube.k); }},
+      {"cloud_hosts", "virtual-cloud host count", topo("cloud.hosts", kNumber),
+       [](Field& f, O& o) { f.count(o.cloud.num_hosts); }},
+      {"vl2_tor", "VL2 top-of-rack switch count", topo("vl2.tor", kNumber),
+       [](Field& f, O& o) { f.count(o.vl2.num_tor); }},
+      {"vl2_hosts_per_tor", "VL2 hosts per ToR", topo("vl2.hosts_per_tor", kNumber),
+       [](Field& f, O& o) { f.count(o.vl2.hosts_per_tor); }},
+      {"vl2_agg", "VL2 aggregation switch count", topo("vl2.agg", kNumber),
+       [](Field& f, O& o) { f.count(o.vl2.num_agg); }},
+      {"vl2_int", "VL2 intermediate switch count", topo("vl2.int", kNumber),
+       [](Field& f, O& o) { f.count(o.vl2.num_int); }},
+      {"vl2_host_rate_mbps", "VL2 host link rate", topo("vl2.host_rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.vl2.host_rate); }},
+      {"vl2_switch_rate_mbps", "VL2 switch link rate", topo("vl2.switch_rate", kRate),
+       [](Field& f, O& o) { f.rate_mbps(o.vl2.switch_rate); }},
+  };
+}
 
 // --------------------------------------------------------- point functions
 //
-// Each maps the flat ParamMap onto one runner's typed options and flattens
-// the result into a ResultRow. Moved verbatim from harness/sweep.cc; the
-// rows they produce are part of the golden-bank contract, so behavior
-// changes here invalidate scenarios/golden/.
+// Each runs one runner on the applied options and flattens its result into
+// a ResultRow whose keys are the family's declared columns.
 
-void apply_price_params(const ParamMap& p, core::EnergyPriceConfig& price) {
-  price.kappa = param_double(p, "kappa", price.kappa);
-  price.rho = param_double(p, "rho", price.rho);
-  price.eta = param_double(p, "eta", price.eta);
-  price.queue_delay_target =
-      ms(param_double(p, "delay_target_ms", to_ms(price.queue_delay_target)));
-}
-
-const std::vector<ParamSpec> kPriceParams = {
-    {"kappa", "0.5", "energy-price weight kappa_s (dts-ep)"},
-    {"rho", "0.005", "per-unit-traffic energy cost rho (dts-ep)"},
-    {"eta", "1", "queue-excess indicator weight (dts-ep)"},
-    {"delay_target_ms", "20", "queueing-delay target Q (dts-ep)"},
-};
-
-void append_price_params(std::vector<ParamSpec>& params) {
-  params.insert(params.end(), kPriceParams.begin(), kPriceParams.end());
-}
-
-// The dts-ep price knobs share one DSL spelling across families.
-const std::vector<DslKey> kPriceKeys = {
-    {"kappa", "kappa", UnitKind::kNumber},
-    {"rho", "rho", UnitKind::kNumber},
-    {"eta", "eta", UnitKind::kNumber},
-    {"delay_target", "delay_target_ms", UnitKind::kTimeMs},
-};
-
-void append_price_keys(std::vector<DslKey>& keys) {
-  keys.insert(keys.end(), kPriceKeys.begin(), kPriceKeys.end());
-}
-
-ResultRow two_path_point(SimContext& ctx, const ParamMap& p) {
-  TwoPathOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.topo.rate[0] = mbps(param_double(p, "rate0_mbps", to_mbps(o.topo.rate[0])));
-  o.topo.rate[1] = mbps(param_double(p, "rate1_mbps", to_mbps(o.topo.rate[1])));
-  o.topo.delay[0] = ms(param_double(p, "delay0_ms", to_ms(o.topo.delay[0])));
-  o.topo.delay[1] = ms(param_double(p, "delay1_ms", to_ms(o.topo.delay[1])));
-  o.topo.cross_traffic = param_bool(p, "cross_traffic", o.topo.cross_traffic);
-  o.chaos = param_string(p, "chaos", o.chaos);
-  apply_price_params(p, o.price);
-
+ResultRow two_path_point(SimContext& ctx, const TwoPathOptions& o) {
   const TwoPathResult r = run_two_path(ctx, o);
   const double b0 = r.subflow_bytes.size() > 0 ? double(r.subflow_bytes[0]) : 0;
   const double b1 = r.subflow_bytes.size() > 1 ? double(r.subflow_bytes[1]) : 0;
@@ -81,21 +360,7 @@ ResultRow two_path_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-ResultRow dumbbell_point(SimContext& ctx, const ParamMap& p) {
-  DumbbellOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.n_users = static_cast<std::size_t>(
-      param_int(p, "n_users", static_cast<std::int64_t>(o.n_users)));
-  o.flow_bytes = static_cast<Bytes>(
-      param_double(p, "flow_mb", double(o.flow_bytes) / 1e6) * 1e6);
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.max_time = seconds(param_double(p, "max_time_s", to_seconds(o.max_time)));
-  o.topo.bottleneck_rate =
-      mbps(param_double(p, "rate_mbps", to_mbps(o.topo.bottleneck_rate)));
-  o.topo.bottleneck_delay =
-      ms(param_double(p, "delay_ms", to_ms(o.topo.bottleneck_delay)));
-  o.chaos = param_string(p, "chaos", o.chaos);
-
+ResultRow dumbbell_point(SimContext& ctx, const DumbbellOptions& o) {
   const DumbbellResult r = run_dumbbell(ctx, o);
   double mean_energy = 0;
   double mean_completion = 0;
@@ -116,55 +381,7 @@ ResultRow dumbbell_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-// Shared by datacenter_point and fleet_point: topology sizing knobs use the
-// same parameter spellings in both families.
-template <typename Options>
-void apply_dc_topo_params(const ParamMap& p, Options& o) {
-  o.fat_tree.k = static_cast<int>(param_int(p, "fattree_k", o.fat_tree.k));
-  o.bcube.n = static_cast<int>(param_int(p, "bcube_n", o.bcube.n));
-  o.bcube.k = static_cast<int>(param_int(p, "bcube_k", o.bcube.k));
-  o.cloud.num_hosts = static_cast<std::size_t>(param_int(
-      p, "cloud_hosts", static_cast<std::int64_t>(o.cloud.num_hosts)));
-  o.vl2.num_tor = static_cast<std::size_t>(
-      param_int(p, "vl2_tor", static_cast<std::int64_t>(o.vl2.num_tor)));
-  o.vl2.hosts_per_tor = static_cast<std::size_t>(param_int(
-      p, "vl2_hosts_per_tor", static_cast<std::int64_t>(o.vl2.hosts_per_tor)));
-  o.vl2.num_agg = static_cast<std::size_t>(
-      param_int(p, "vl2_agg", static_cast<std::int64_t>(o.vl2.num_agg)));
-  o.vl2.num_int = static_cast<std::size_t>(
-      param_int(p, "vl2_int", static_cast<std::int64_t>(o.vl2.num_int)));
-  o.vl2.host_rate =
-      mbps(param_double(p, "vl2_host_rate_mbps", to_mbps(o.vl2.host_rate)));
-  o.vl2.switch_rate =
-      mbps(param_double(p, "vl2_switch_rate_mbps", to_mbps(o.vl2.switch_rate)));
-}
-
-ResultRow datacenter_point(SimContext& ctx, const ParamMap& p) {
-  DatacenterOptions o;
-  const std::string topo = param_string(p, "topo", "fattree");
-  if (topo == "fattree") {
-    o.topo = DcTopo::kFatTree;
-  } else if (topo == "vl2") {
-    o.topo = DcTopo::kVl2;
-  } else if (topo == "bcube") {
-    o.topo = DcTopo::kBCube;
-  } else if (topo == "cloud") {
-    o.topo = DcTopo::kVirtualCloud;
-  } else {
-    throw std::invalid_argument("unknown datacenter topo \"" + topo +
-                                "\" (fattree|vl2|bcube|cloud)");
-  }
-  o.cc = param_string(p, "cc", o.cc);
-  o.subflows = static_cast<int>(param_int(p, "subflows", o.subflows));
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.pattern = param_string(p, "pattern", o.pattern);
-  o.max_flows = static_cast<std::size_t>(
-      param_int(p, "max_flows", static_cast<std::int64_t>(o.max_flows)));
-  o.min_rto = ms(param_double(p, "min_rto_ms", to_ms(o.min_rto)));
-  apply_dc_topo_params(p, o);
-  apply_price_params(p, o.price);
-
+ResultRow datacenter_point(SimContext& ctx, const DatacenterOptions& o) {
   const DatacenterResult r = run_datacenter(ctx, o);
   ResultRow row;
   row["total_energy_j"] = r.total_energy_j;
@@ -176,99 +393,7 @@ ResultRow datacenter_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-ResultRow fleet_point(SimContext& ctx, const ParamMap& p) {
-  fleet::FleetOptions o;
-  const std::string topo = param_string(p, "topo", "fattree");
-  if (topo == "fattree") {
-    o.topo = DcTopo::kFatTree;
-  } else if (topo == "vl2") {
-    o.topo = DcTopo::kVl2;
-  } else if (topo == "bcube") {
-    o.topo = DcTopo::kBCube;
-  } else if (topo == "cloud") {
-    o.topo = DcTopo::kVirtualCloud;
-  } else {
-    throw std::invalid_argument("unknown fleet topo \"" + topo +
-                                "\" (fattree|vl2|bcube|cloud)");
-  }
-  apply_dc_topo_params(p, o);
-  o.cc = param_string(p, "cc", o.cc);
-  o.subflows = static_cast<int>(param_int(p, "subflows", o.subflows));
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.min_rto = ms(param_double(p, "min_rto_ms", to_ms(o.min_rto)));
-  o.recv_buffer = static_cast<Bytes>(
-      param_int(p, "recv_buffer", static_cast<std::int64_t>(o.recv_buffer)));
-
-  const std::string process = param_string(p, "process", "poisson");
-  if (process == "poisson") {
-    o.arrivals.kind = fleet::ArrivalConfig::Kind::kPoisson;
-  } else if (process == "onoff") {
-    o.arrivals.kind = fleet::ArrivalConfig::Kind::kOnOff;
-  } else if (process == "diurnal") {
-    o.arrivals.kind = fleet::ArrivalConfig::Kind::kDiurnal;
-  } else {
-    throw std::invalid_argument("unknown fleet arrival process \"" + process +
-                                "\" (poisson|onoff|diurnal)");
-  }
-  o.arrivals.rate_fps = param_double(p, "rate_fps", o.arrivals.rate_fps);
-  o.arrivals.on_s = param_double(p, "on_s", o.arrivals.on_s);
-  o.arrivals.off_s = param_double(p, "off_s", o.arrivals.off_s);
-  o.arrivals.period_s = param_double(p, "diurnal_period_s", o.arrivals.period_s);
-  o.arrivals.depth = param_double(p, "diurnal_depth", o.arrivals.depth);
-
-  const std::string size_dist = param_string(p, "size_dist", "fixed");
-  if (size_dist == "fixed") {
-    o.sizes.kind = fleet::SizeConfig::Kind::kFixed;
-  } else if (size_dist == "lognormal") {
-    o.sizes.kind = fleet::SizeConfig::Kind::kLognormal;
-  } else if (size_dist == "websearch") {
-    o.sizes.kind = fleet::SizeConfig::Kind::kWebSearch;
-  } else if (size_dist == "datamining") {
-    o.sizes.kind = fleet::SizeConfig::Kind::kDataMining;
-  } else {
-    throw std::invalid_argument("unknown fleet size distribution \"" +
-                                size_dist +
-                                "\" (fixed|lognormal|websearch|datamining)");
-  }
-  o.sizes.fixed_bytes = static_cast<Bytes>(
-      param_int(p, "size_b", static_cast<std::int64_t>(o.sizes.fixed_bytes)));
-  o.sizes.mu = param_double(p, "size_mu", o.sizes.mu);
-  o.sizes.sigma = param_double(p, "size_sigma", o.sizes.sigma);
-
-  const std::string pattern = param_string(p, "pattern", "permutation");
-  if (pattern == "permutation") {
-    o.matrix.kind = fleet::MatrixConfig::Kind::kPermutation;
-  } else if (pattern == "incast") {
-    o.matrix.kind = fleet::MatrixConfig::Kind::kIncast;
-  } else if (pattern == "all_to_all") {
-    o.matrix.kind = fleet::MatrixConfig::Kind::kAllToAll;
-  } else if (pattern == "uniform") {
-    o.matrix.kind = fleet::MatrixConfig::Kind::kUniform;
-  } else {
-    throw std::invalid_argument("unknown fleet traffic pattern \"" + pattern +
-                                "\" (permutation|incast|all_to_all|uniform)");
-  }
-  o.matrix.incast_fanin =
-      static_cast<int>(param_int(p, "incast_fanin", o.matrix.incast_fanin));
-  o.max_flows = static_cast<std::uint64_t>(
-      param_int(p, "max_flows", static_cast<std::int64_t>(o.max_flows)));
-
-  // Fidelity: run_fleet itself validates the mode string and the
-  // mode/topology combination (hybrid needs a fabric).
-  o.fidelity = param_string(p, "fidelity", o.fidelity);
-  o.background.share = param_double(p, "bg_share", o.background.share);
-  o.background.cadence =
-      ms(param_double(p, "bg_cadence_ms", to_ms(o.background.cadence)));
-  o.background.rtt_s =
-      param_double(p, "bg_rtt_ms", o.background.rtt_s * 1e3) / 1e3;
-  o.background.users_per_link = static_cast<int>(
-      param_int(p, "bg_users_per_link", o.background.users_per_link));
-  o.background.loss_to_drop_scale =
-      param_double(p, "bg_loss_scale", o.background.loss_to_drop_scale);
-  o.chaos = param_string(p, "chaos", o.chaos);
-  apply_price_params(p, o.price);
-
+ResultRow fleet_point(SimContext& ctx, const fleet::FleetOptions& o) {
   const fleet::FleetResult r = fleet::run_fleet(ctx, o);
   ResultRow row;
   row["completed"] = double(r.flows_completed);
@@ -284,24 +409,7 @@ ResultRow fleet_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-ResultRow wireless_point(SimContext& ctx, const ParamMap& p) {
-  WirelessOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.recv_buffer = static_cast<Bytes>(
-      param_int(p, "recv_buffer", static_cast<std::int64_t>(o.recv_buffer)));
-  o.topo.wifi.rate =
-      mbps(param_double(p, "wifi_rate_mbps", to_mbps(o.topo.wifi.rate)));
-  o.topo.wifi.delay = ms(param_double(p, "wifi_delay_ms", to_ms(o.topo.wifi.delay)));
-  o.topo.wifi.loss_rate = param_double(p, "wifi_loss", o.topo.wifi.loss_rate);
-  o.topo.cellular.rate =
-      mbps(param_double(p, "cell_rate_mbps", to_mbps(o.topo.cellular.rate)));
-  o.topo.cellular.delay =
-      ms(param_double(p, "cell_delay_ms", to_ms(o.topo.cellular.delay)));
-  o.topo.cross_traffic = param_bool(p, "cross_traffic", o.topo.cross_traffic);
-  apply_price_params(p, o.price);
-
+ResultRow wireless_point(SimContext& ctx, const WirelessOptions& o) {
   const WirelessResult r = run_wireless(ctx, o);
   const double total = double(r.wifi_bytes + r.cell_bytes);
   ResultRow row;
@@ -315,31 +423,7 @@ ResultRow wireless_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-// Shared wireless-topology parameters for the dyn scenarios.
-void apply_wireless_topo_params(const ParamMap& p, WirelessHeteroConfig& topo) {
-  topo.wifi.rate = mbps(param_double(p, "wifi_rate_mbps", to_mbps(topo.wifi.rate)));
-  topo.wifi.delay = ms(param_double(p, "wifi_delay_ms", to_ms(topo.wifi.delay)));
-  topo.wifi.loss_rate = param_double(p, "wifi_loss", topo.wifi.loss_rate);
-  topo.cellular.rate =
-      mbps(param_double(p, "cell_rate_mbps", to_mbps(topo.cellular.rate)));
-  topo.cellular.delay =
-      ms(param_double(p, "cell_delay_ms", to_ms(topo.cellular.delay)));
-  topo.cross_traffic = param_bool(p, "cross_traffic", topo.cross_traffic);
-}
-
-ResultRow handover_point(SimContext& ctx, const ParamMap& p) {
-  HandoverOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.recv_buffer = static_cast<Bytes>(
-      param_int(p, "recv_buffer", static_cast<std::int64_t>(o.recv_buffer)));
-  o.dyn = param_string(p, "dyn", o.dyn);
-  o.dead_after_timeouts = static_cast<int>(
-      param_int(p, "dead_after_timeouts", o.dead_after_timeouts));
-  apply_wireless_topo_params(p, o.topo);
-  apply_price_params(p, o.price);
-
+ResultRow handover_point(SimContext& ctx, const HandoverOptions& o) {
   const HandoverResult r = run_handover(ctx, o);
   const double total = double(r.wifi_bytes + r.cell_bytes);
   ResultRow row;
@@ -360,20 +444,7 @@ ResultRow handover_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-ResultRow flaky_wifi_point(SimContext& ctx, const ParamMap& p) {
-  FlakyWifiOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.recv_buffer = static_cast<Bytes>(
-      param_int(p, "recv_buffer", static_cast<std::int64_t>(o.recv_buffer)));
-  o.dyn = param_string(p, "dyn", o.dyn);
-  o.degrade_at = seconds(param_double(p, "degrade_at_s", to_seconds(o.degrade_at)));
-  o.dead_after_timeouts = static_cast<int>(
-      param_int(p, "dead_after_timeouts", o.dead_after_timeouts));
-  apply_wireless_topo_params(p, o.topo);
-  apply_price_params(p, o.price);
-
+ResultRow flaky_wifi_point(SimContext& ctx, const FlakyWifiOptions& o) {
   const FlakyWifiResult r = run_flaky_wifi(ctx, o);
   ResultRow row;
   row["wifi_mbytes"] = double(r.wifi_bytes) / 1e6;
@@ -388,24 +459,7 @@ ResultRow flaky_wifi_point(SimContext& ctx, const ParamMap& p) {
   return row;
 }
 
-ResultRow chaos_heal_point(SimContext& ctx, const ParamMap& p) {
-  ChaosHealOptions o;
-  o.cc = param_string(p, "cc", o.cc);
-  o.duration = seconds(param_double(p, "duration_s", to_seconds(o.duration)));
-  o.seed = static_cast<std::uint64_t>(param_int(p, "seed", 1));
-  o.topo.rate[0] = mbps(param_double(p, "rate0_mbps", to_mbps(o.topo.rate[0])));
-  o.topo.rate[1] = mbps(param_double(p, "rate1_mbps", to_mbps(o.topo.rate[1])));
-  o.topo.delay[0] = ms(param_double(p, "delay0_ms", to_ms(o.topo.delay[0])));
-  o.topo.delay[1] = ms(param_double(p, "delay1_ms", to_ms(o.topo.delay[1])));
-  o.topo.cross_traffic = param_bool(p, "cross_traffic", o.topo.cross_traffic);
-  o.chaos = param_string(p, "chaos", o.chaos);
-  o.window = ms(param_double(p, "window_ms", to_ms(o.window)));
-  o.split_tol = param_double(p, "split_tol", o.split_tol);
-  o.epb_tol = param_double(p, "epb_tol", o.epb_tol);
-  o.stall_window = seconds(param_double(p, "stall_s", to_seconds(o.stall_window)));
-  o.mutation = param_bool(p, "mutation", o.mutation);
-  apply_price_params(p, o.price);
-
+ResultRow chaos_heal_point(SimContext& ctx, const ChaosHealOptions& o) {
   const ChaosHealResult r = run_chaos_heal(ctx, o);
   ResultRow row;
   row["bytes_mb"] = double(r.bytes_delivered) / 1e6;
@@ -460,15 +514,21 @@ class SelftestTicker : public EventSource {
   std::uint64_t ticks_ = 0;
 };
 
-ResultRow selftest_point(SimContext& ctx, const ParamMap& p) {
-  const std::string mode = param_string(p, "mode", "ok");
-  if (mode != "ok" && mode != "throw" && mode != "invariant" && mode != "hang") {
-    throw std::invalid_argument("selftest mode \"" + mode +
+// The self-test's own options, so its knobs bind like every runner's.
+struct SelftestOptions {
+  std::string mode = "ok";
+  SimTime duration = kSecond;
+  SimTime fail_at = 500 * kMillisecond;
+  std::uint64_t seed = 1;
+};
+
+ResultRow selftest_point(SimContext& ctx, const SelftestOptions& o) {
+  if (o.mode != "ok" && o.mode != "throw" && o.mode != "invariant" &&
+      o.mode != "hang") {
+    throw std::invalid_argument("selftest mode \"" + o.mode +
                                 "\" (valid: ok|throw|invariant|hang)");
   }
-  const SimTime duration = seconds(param_double(p, "duration_s", 1.0));
-  const SimTime fail_at = seconds(param_double(p, "fail_at_s", 0.5));
-  SelftestTicker ticker(ctx, mode, fail_at, duration);
+  SelftestTicker ticker(ctx, o.mode, o.fail_at, o.duration);
   ctx.events().schedule_in(&ticker, kMillisecond);
   ctx.events().run_all();
   ResultRow row;
@@ -476,406 +536,266 @@ ResultRow selftest_point(SimContext& ctx, const ParamMap& p) {
   row["sim_s"] = to_seconds(ctx.now());
   // Seed-keyed irrational signature: resume tests assert restored values
   // are bit-identical to freshly computed ones.
-  row["signature"] = std::sin(double(param_int(p, "seed", 1)) * 12.9898) * 43758.5453;
+  row["signature"] = std::sin(double(o.seed) * 12.9898) * 43758.5453;
   return row;
 }
 
 // ----------------------------------------------------------- family table
 
-// Shared wireless topo keys for wireless / handover / flaky_wifi.
-const std::vector<DslKey> kWirelessTopoKeys = {
-    {"wifi.rate", "wifi_rate_mbps", UnitKind::kRate},
-    {"wifi.delay", "wifi_delay_ms", UnitKind::kTimeMs},
-    {"wifi.loss", "wifi_loss", UnitKind::kNumber},
-    {"cell.rate", "cell_rate_mbps", UnitKind::kRate},
-    {"cell.delay", "cell_delay_ms", UnitKind::kTimeMs},
-    {"cross_traffic", "cross_traffic", UnitKind::kBool},
-};
-
-const std::vector<ParamSpec> kWirelessTopoParams = {
-    {"wifi_rate_mbps", "10", "WiFi link rate"},
-    {"wifi_delay_ms", "40", "WiFi one-way delay"},
-    {"wifi_loss", "0", "WiFi random loss rate"},
-    {"cell_rate_mbps", "20", "cellular link rate"},
-    {"cell_delay_ms", "100", "cellular one-way delay"},
-    {"cross_traffic", "1", "enable Pareto cross-traffic bursts"},
-};
-
-void append_wireless_topo_params(std::vector<ParamSpec>& params) {
-  params.insert(params.end(), kWirelessTopoParams.begin(),
-                kWirelessTopoParams.end());
-}
-
 std::vector<FamilySpec> build_families() {
   std::vector<FamilySpec> families;
-
   {
-    FamilySpec f;
-    f.name = "two_path";
-    f.help = "bursty two-path traffic shifting (paper Figs 7-9)";
-    f.params = {
-        {"cc", "lia", "multipath CC algorithm (lia|olia|balia|dts|dts-ep|...)"},
-        {"duration_s", "60", "simulated seconds"},
-        {"rate0_mbps", "100", "path-0 bottleneck rate"},
-        {"rate1_mbps", "100", "path-1 bottleneck rate"},
-        {"delay0_ms", "10", "path-0 one-way delay"},
-        {"delay1_ms", "10", "path-1 one-way delay"},
-        {"cross_traffic", "1", "enable Pareto cross-traffic bursts"},
-        {"chaos", "", "chaos campaign (chaos/spec.h syntax, or @file); empty = none"},
-    };
-    append_price_params(f.params);
-    f.run = two_path_point;
-    f.topo_keys = {
-        {"path0.rate", "rate0_mbps", UnitKind::kRate},
-        {"path1.rate", "rate1_mbps", UnitKind::kRate},
-        {"path0.delay", "delay0_ms", UnitKind::kTimeMs},
-        {"path1.delay", "delay1_ms", UnitKind::kTimeMs},
-        {"cross_traffic", "cross_traffic", UnitKind::kBool},
-    };
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-    };
-    append_price_keys(f.flow_keys);
-    f.chaos_param = "chaos";
-    f.columns = {"avg_power_w",  "energy_j",      "goodput_mbps",
-                 "joules_per_gb", "path0_mbytes", "path0_share",
-                 "path1_mbytes", "retx_rate"};
-    families.push_back(std::move(f));
+    using O = TwoPathOptions;
+    families.push_back(family<O>(
+        "two_path", "bursty two-path traffic shifting (paper Figs 7-9)",
+        {
+            cc<O>("multipath CC algorithm (lia|olia|balia|dts|dts-ep|...)"),
+            duration<O>(),
+            two_path_links<O>(),
+            chaos<O>(),
+            price<O>(),
+        },
+        two_path_point,
+        {"avg_power_w", "energy_j", "goodput_mbps", "joules_per_gb",
+         "path0_mbytes", "path0_share", "path1_mbytes", "retx_rate"}));
   }
   {
-    FamilySpec f;
-    f.name = "dumbbell";
-    f.help = "N MPTCP + 2N TCP over two bottlenecks (paper Fig 6)";
-    f.params = {
-        {"cc", "lia", "multipath CC algorithm"},
-        {"n_users", "10", "MPTCP user count N (TCP users = 2N)"},
-        {"flow_mb", "16", "per-user flow size, megabytes"},
-        {"max_time_s", "600", "give-up horizon, simulated seconds"},
-        {"rate_mbps", "100", "bottleneck rate"},
-        {"delay_ms", "5", "bottleneck one-way delay"},
-        {"chaos", "", "chaos campaign (chaos/spec.h syntax, or @file); empty = none"},
-    };
-    f.run = dumbbell_point;
-    f.topo_keys = {
-        {"bottleneck.rate", "rate_mbps", UnitKind::kRate},
-        {"bottleneck.delay", "delay_ms", UnitKind::kTimeMs},
-    };
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"n_users", "n_users", UnitKind::kNumber},
-        {"flow_size", "flow_mb", UnitKind::kSizeMb},
-        {"max_time", "max_time_s", UnitKind::kTimeS},
-    };
-    f.chaos_param = "chaos";
-    f.columns = {"incomplete", "max_completion_s", "mean_completion_s",
-                 "mean_flow_energy_j", "total_energy_j"};
-    families.push_back(std::move(f));
+    using O = DumbbellOptions;
+    families.push_back(family<O>(
+        "dumbbell", "N MPTCP + 2N TCP over two bottlenecks (paper Fig 6)",
+        {
+            cc<O>("multipath CC algorithm"),
+            {"n_users", "MPTCP user count N (TCP users = 2N)",
+             flow("n_users", kNumber), [](Field& f, O& o) { f.count(o.n_users); }},
+            {"flow_mb", "per-user flow size, megabytes", flow("flow_size", kSizeMb),
+             [](Field& f, O& o) { f.size_mb(o.flow_bytes); }},
+            {"max_time_s", "give-up horizon, simulated seconds",
+             flow("max_time", kTimeS), [](Field& f, O& o) { f.time_s(o.max_time); }},
+            {"rate_mbps", "bottleneck rate", topo("bottleneck.rate", kRate),
+             [](Field& f, O& o) { f.rate_mbps(o.topo.bottleneck_rate); }},
+            {"delay_ms", "bottleneck one-way delay", topo("bottleneck.delay", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.topo.bottleneck_delay); }},
+            chaos<O>(),
+        },
+        dumbbell_point,
+        {"incomplete", "max_completion_s", "mean_completion_s",
+         "mean_flow_energy_j", "total_energy_j"}));
   }
   {
-    FamilySpec f;
-    f.name = "datacenter";
-    f.help = "permutation traffic over a DC fabric (paper Figs 10, 12-16)";
-    f.params = {
-        {"topo", "fattree", "fabric: fattree|vl2|bcube|cloud"},
-        {"cc", "lia", "multipath CC, or single-path \"tcp\" / \"dctcp\""},
-        {"subflows", "8", "subflows per MPTCP connection"},
-        {"duration_s", "2", "simulated seconds"},
-        {"pattern", "permutation", "traffic matrix: permutation|incast (all to host 0)"},
-        {"max_flows", "0", "cap on concurrent flows (0 = one per host)"},
-        {"min_rto_ms", "10", "datacenter-tuned minimum RTO"},
-        {"fattree_k", "8", "FatTree arity (even)"},
-        {"bcube_n", "5", "BCube switch port count"},
-        {"bcube_k", "2", "BCube levels minus one"},
-        {"cloud_hosts", "40", "virtual-cloud host count"},
-        {"vl2_tor", "32", "VL2 top-of-rack switch count"},
-        {"vl2_hosts_per_tor", "4", "VL2 hosts per ToR"},
-        {"vl2_agg", "32", "VL2 aggregation switch count"},
-        {"vl2_int", "16", "VL2 intermediate switch count"},
-        {"vl2_host_rate_mbps", "100", "VL2 host link rate"},
-        {"vl2_switch_rate_mbps", "1000", "VL2 switch link rate"},
-    };
-    append_price_params(f.params);
-    f.run = datacenter_point;
-    f.topo_keys = {
-        {"fabric", "topo", UnitKind::kString},
-        {"fattree.k", "fattree_k", UnitKind::kNumber},
-        {"bcube.n", "bcube_n", UnitKind::kNumber},
-        {"bcube.k", "bcube_k", UnitKind::kNumber},
-        {"cloud.hosts", "cloud_hosts", UnitKind::kNumber},
-        {"vl2.tor", "vl2_tor", UnitKind::kNumber},
-        {"vl2.hosts_per_tor", "vl2_hosts_per_tor", UnitKind::kNumber},
-        {"vl2.agg", "vl2_agg", UnitKind::kNumber},
-        {"vl2.int", "vl2_int", UnitKind::kNumber},
-        {"vl2.host_rate", "vl2_host_rate_mbps", UnitKind::kRate},
-        {"vl2.switch_rate", "vl2_switch_rate_mbps", UnitKind::kRate},
-    };
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"subflows", "subflows", UnitKind::kNumber},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"pattern", "pattern", UnitKind::kString},
-        {"max_flows", "max_flows", UnitKind::kNumber},
-        {"min_rto", "min_rto_ms", UnitKind::kTimeMs},
-    };
-    append_price_keys(f.flow_keys);
-    f.columns = {"fabric_drops", "flows", "gbytes_delivered",
-                 "goodput_mbps", "joules_per_gb", "total_energy_j"};
-    families.push_back(std::move(f));
+    using O = DatacenterOptions;
+    families.push_back(family<O>(
+        "datacenter", "permutation traffic over a DC fabric (paper Figs 10, 12-16)",
+        {
+            fabric<O>(),
+            cc<O>("multipath CC, or single-path \"tcp\" / \"dctcp\""),
+            {"subflows", "subflows per MPTCP connection", flow("subflows", kNumber),
+             [](Field& f, O& o) { f.count(o.subflows); }},
+            duration<O>(),
+            {"pattern", "traffic matrix: permutation|incast (all to host 0)",
+             flow("pattern", kString), [](Field& f, O& o) { f.text(o.pattern); }},
+            {"max_flows", "cap on concurrent flows (0 = one per host)",
+             flow("max_flows", kNumber), [](Field& f, O& o) { f.count(o.max_flows); }},
+            {"min_rto_ms", "datacenter-tuned minimum RTO", flow("min_rto", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.min_rto); }},
+            fabric_sizes<O>(),
+            price<O>(),
+        },
+        datacenter_point,
+        {"fabric_drops", "flows", "gbytes_delivered", "goodput_mbps",
+         "joules_per_gb", "total_energy_j"}));
   }
   {
-    FamilySpec f;
-    f.name = "fleet";
-    f.help = "fleet-scale workload: arrival process x size mix x traffic matrix";
-    f.params = {
-        {"topo", "fattree", "fabric: fattree|vl2|bcube|cloud"},
-        {"cc", "lia", "multipath CC algorithm"},
-        {"subflows", "2", "subflows per MPTCP connection"},
-        {"duration_s", "2", "simulated seconds"},
-        {"min_rto_ms", "10", "datacenter-tuned minimum RTO"},
-        {"recv_buffer", "0", "receive buffer, bytes (0 = unlimited)"},
-        {"fattree_k", "8", "FatTree arity (even)"},
-        {"bcube_n", "5", "BCube switch port count"},
-        {"bcube_k", "2", "BCube levels minus one"},
-        {"cloud_hosts", "40", "virtual-cloud host count"},
-        {"vl2_tor", "32", "VL2 top-of-rack switch count"},
-        {"vl2_hosts_per_tor", "4", "VL2 hosts per ToR"},
-        {"vl2_agg", "32", "VL2 aggregation switch count"},
-        {"vl2_int", "16", "VL2 intermediate switch count"},
-        {"vl2_host_rate_mbps", "100", "VL2 host link rate"},
-        {"vl2_switch_rate_mbps", "1000", "VL2 switch link rate"},
-        {"process", "poisson", "flow arrivals: poisson|onoff|diurnal"},
-        {"rate_fps", "1000", "mean flow arrival rate, flows/s"},
-        {"on_s", "0.1", "on/off: ON-phase duration, seconds"},
-        {"off_s", "0.4", "on/off: OFF-phase duration, seconds"},
-        {"diurnal_period_s", "1", "diurnal: modulation period, seconds"},
-        {"diurnal_depth", "0.5", "diurnal: modulation depth in [0,1)"},
-        {"size_dist", "fixed",
-         "flow sizes: fixed|lognormal|websearch|datamining"},
-        {"size_b", "100000", "fixed: flow size, bytes"},
-        {"size_mu", "10", "lognormal: mean of ln(bytes)"},
-        {"size_sigma", "1", "lognormal: stddev of ln(bytes)"},
-        {"max_flows", "0", "stop spawning after N flows (0 = duration-bound)"},
-        {"pattern", "permutation",
-         "traffic matrix: permutation|incast|all_to_all|uniform"},
-        {"incast_fanin", "16", "incast: sender fan-in targeting host 0"},
-        {"fidelity", "packet",
-         "packet | hybrid (fluid background load on the fabric)"},
-        {"bg_share", "0.5", "hybrid: link-capacity share of the background"},
-        {"bg_cadence_ms", "50", "hybrid: fluid integration cadence"},
-        {"bg_rtt_ms", "20", "hybrid: background-user propagation RTT"},
-        {"bg_users_per_link", "1", "hybrid: fluid users per fabric link"},
-        {"bg_loss_scale", "1", "hybrid: fluid loss price -> drop-period scale"},
-        {"chaos", "", "chaos campaign (chaos/spec.h syntax, or @file); empty = none"},
-    };
-    append_price_params(f.params);
-    f.run = fleet_point;
-    f.topo_keys = {
-        {"fabric", "topo", UnitKind::kString},
-        {"fattree.k", "fattree_k", UnitKind::kNumber},
-        {"bcube.n", "bcube_n", UnitKind::kNumber},
-        {"bcube.k", "bcube_k", UnitKind::kNumber},
-        {"cloud.hosts", "cloud_hosts", UnitKind::kNumber},
-        {"vl2.tor", "vl2_tor", UnitKind::kNumber},
-        {"vl2.hosts_per_tor", "vl2_hosts_per_tor", UnitKind::kNumber},
-        {"vl2.agg", "vl2_agg", UnitKind::kNumber},
-        {"vl2.int", "vl2_int", UnitKind::kNumber},
-        {"vl2.host_rate", "vl2_host_rate_mbps", UnitKind::kRate},
-        {"vl2.switch_rate", "vl2_switch_rate_mbps", UnitKind::kRate},
-    };
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"subflows", "subflows", UnitKind::kNumber},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"min_rto", "min_rto_ms", UnitKind::kTimeMs},
-        {"recv_buffer", "recv_buffer", UnitKind::kSizeB},
-        {"max_flows", "max_flows", UnitKind::kNumber},
-    };
-    append_price_keys(f.flow_keys);
-    f.arrivals_keys = {
-        {"process", "process", UnitKind::kString},
-        {"rate", "rate_fps", UnitKind::kNumber},
-        {"on", "on_s", UnitKind::kTimeS},
-        {"off", "off_s", UnitKind::kTimeS},
-        {"diurnal.period", "diurnal_period_s", UnitKind::kTimeS},
-        {"diurnal.depth", "diurnal_depth", UnitKind::kNumber},
-        {"size.dist", "size_dist", UnitKind::kString},
-        {"size", "size_b", UnitKind::kSizeB},
-        {"size.mu", "size_mu", UnitKind::kNumber},
-        {"size.sigma", "size_sigma", UnitKind::kNumber},
-    };
-    f.matrix_keys = {
-        {"pattern", "pattern", UnitKind::kString},
-        {"incast.fanin", "incast_fanin", UnitKind::kNumber},
-    };
-    f.fidelity_keys = {
-        {"mode", "fidelity", UnitKind::kString},
-        {"bg.share", "bg_share", UnitKind::kNumber},
-        {"bg.cadence", "bg_cadence_ms", UnitKind::kTimeMs},
-        {"bg.rtt", "bg_rtt_ms", UnitKind::kTimeMs},
-        {"bg.users_per_link", "bg_users_per_link", UnitKind::kNumber},
-        {"bg.loss_scale", "bg_loss_scale", UnitKind::kNumber},
-    };
-    f.chaos_param = "chaos";
-    // NB: "fct_p999_ms" sorts before "fct_p99_ms" ('9' < '_').
-    f.columns = {"completed",    "fabric_drops",  "fct_p50_ms",
-                 "fct_p999_ms",  "fct_p99_ms",    "flows",
-                 "goodput_mbps", "joules_per_gb", "rigs",
-                 "total_energy_j"};
-    families.push_back(std::move(f));
+    using O = fleet::FleetOptions;
+    using Arrival = fleet::ArrivalConfig::Kind;
+    using Size = fleet::SizeConfig::Kind;
+    using Matrix = fleet::MatrixConfig::Kind;
+    families.push_back(family<O>(
+        "fleet", "fleet-scale workload: arrival process x size mix x traffic matrix",
+        {
+            fabric<O>(),
+            cc<O>("multipath CC algorithm"),
+            {"subflows", "subflows per MPTCP connection", flow("subflows", kNumber),
+             [](Field& f, O& o) { f.count(o.subflows); }},
+            duration<O>(),
+            {"min_rto_ms", "datacenter-tuned minimum RTO", flow("min_rto", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.min_rto); }},
+            recv_buffer<O>("receive buffer, bytes (0 = unlimited)"),
+            fabric_sizes<O>(),
+            {"process", "flow arrivals: poisson|onoff|diurnal",
+             arrivals("process", kString),
+             [](Field& f, O& o) {
+               f.choice(o.arrivals.kind, "arrival process",
+                        {{"poisson", Arrival::kPoisson},
+                         {"onoff", Arrival::kOnOff},
+                         {"diurnal", Arrival::kDiurnal}});
+             }},
+            {"rate_fps", "mean flow arrival rate, flows/s", arrivals("rate", kNumber),
+             [](Field& f, O& o) { f.number(o.arrivals.rate_fps); }},
+            {"on_s", "on/off: ON-phase duration, seconds", arrivals("on", kTimeS),
+             [](Field& f, O& o) { f.number(o.arrivals.on_s); }},
+            {"off_s", "on/off: OFF-phase duration, seconds", arrivals("off", kTimeS),
+             [](Field& f, O& o) { f.number(o.arrivals.off_s); }},
+            {"diurnal_period_s", "diurnal: modulation period, seconds",
+             arrivals("diurnal.period", kTimeS),
+             [](Field& f, O& o) { f.number(o.arrivals.period_s); }},
+            {"diurnal_depth", "diurnal: modulation depth in [0,1)",
+             arrivals("diurnal.depth", kNumber),
+             [](Field& f, O& o) { f.number(o.arrivals.depth); }},
+            {"size_dist", "flow sizes: fixed|lognormal|websearch|datamining",
+             arrivals("size.dist", kString),
+             [](Field& f, O& o) {
+               f.choice(o.sizes.kind, "size distribution",
+                        {{"fixed", Size::kFixed},
+                         {"lognormal", Size::kLognormal},
+                         {"websearch", Size::kWebSearch},
+                         {"datamining", Size::kDataMining}});
+             }},
+            {"size_b", "fixed: flow size, bytes", arrivals("size", kSizeB),
+             [](Field& f, O& o) { f.count(o.sizes.fixed_bytes); }},
+            {"size_mu", "lognormal: mean of ln(bytes)", arrivals("size.mu", kNumber),
+             [](Field& f, O& o) { f.number(o.sizes.mu); }},
+            {"size_sigma", "lognormal: stddev of ln(bytes)",
+             arrivals("size.sigma", kNumber),
+             [](Field& f, O& o) { f.number(o.sizes.sigma); }},
+            {"max_flows", "stop spawning after N flows (0 = duration-bound)",
+             flow("max_flows", kNumber), [](Field& f, O& o) { f.count(o.max_flows); }},
+            {"pattern", "traffic matrix: permutation|incast|all_to_all|uniform",
+             matrix("pattern", kString),
+             [](Field& f, O& o) {
+               f.choice(o.matrix.kind, "traffic pattern",
+                        {{"permutation", Matrix::kPermutation},
+                         {"incast", Matrix::kIncast},
+                         {"all_to_all", Matrix::kAllToAll},
+                         {"uniform", Matrix::kUniform}});
+             }},
+            {"incast_fanin", "incast: sender fan-in targeting host 0",
+             matrix("incast.fanin", kNumber),
+             [](Field& f, O& o) { f.count(o.matrix.incast_fanin); }},
+            // run_fleet itself validates the mode string and the
+            // mode/topology combination (hybrid needs a fabric).
+            {"fidelity", "packet | hybrid (fluid background load on the fabric)",
+             fidelity("mode", kString), [](Field& f, O& o) { f.text(o.fidelity); }},
+            {"bg_share", "hybrid: link-capacity share of the background",
+             fidelity("bg.share", kNumber),
+             [](Field& f, O& o) { f.number(o.background.share); }},
+            {"bg_cadence_ms", "hybrid: fluid integration cadence",
+             fidelity("bg.cadence", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.background.cadence); }},
+            {"bg_rtt_ms", "hybrid: background-user propagation RTT",
+             fidelity("bg.rtt", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.background.rtt_s); }},
+            {"bg_users_per_link", "hybrid: fluid users per fabric link",
+             fidelity("bg.users_per_link", kNumber),
+             [](Field& f, O& o) { f.count(o.background.users_per_link); }},
+            {"bg_loss_scale", "hybrid: fluid loss price -> drop-period scale",
+             fidelity("bg.loss_scale", kNumber),
+             [](Field& f, O& o) { f.number(o.background.loss_to_drop_scale); }},
+            chaos<O>(),
+            price<O>(),
+        },
+        fleet_point,
+        // NB: "fct_p999_ms" sorts before "fct_p99_ms" ('9' < '_').
+        {"completed", "fabric_drops", "fct_p50_ms", "fct_p999_ms", "fct_p99_ms",
+         "flows", "goodput_mbps", "joules_per_gb", "rigs", "total_energy_j"}));
   }
   {
-    FamilySpec f;
-    f.name = "chaos_heal";
-    f.help = "self-healing differential check: faulted vs baseline two-path run";
-    f.params = {
-        {"cc", "uncoupled",
-         "multipath CC (uncoupled heals in seconds; LIA/OLIA rebalance slowly)"},
-        {"duration_s", "30", "simulated seconds"},
-        {"rate0_mbps", "100", "path-0 bottleneck rate"},
-        {"rate1_mbps", "100", "path-1 bottleneck rate"},
-        {"delay0_ms", "10", "path-0 one-way delay"},
-        {"delay1_ms", "10", "path-1 one-way delay"},
-        {"cross_traffic", "1", "enable Pareto cross-traffic bursts"},
-        {"chaos", "profile flaky", "campaign (chaos/spec.h syntax, or @file)"},
-        {"window_ms", "500", "lockstep measurement window"},
-        {"split_tol", "0.12", "abs tolerance on path-0 traffic share"},
-        {"epb_tol", "0.25", "rel tolerance on energy-per-byte"},
-        {"stall_s", "5", "liveness-oracle stall horizon, seconds"},
-        {"mutation", "0", "arm the receiver mutation bug (CI oracle check)"},
-    };
-    append_price_params(f.params);
-    f.run = chaos_heal_point;
-    f.topo_keys = {
-        {"path0.rate", "rate0_mbps", UnitKind::kRate},
-        {"path1.rate", "rate1_mbps", UnitKind::kRate},
-        {"path0.delay", "delay0_ms", UnitKind::kTimeMs},
-        {"path1.delay", "delay1_ms", UnitKind::kTimeMs},
-        {"cross_traffic", "cross_traffic", UnitKind::kBool},
-    };
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"window", "window_ms", UnitKind::kTimeMs},
-        {"split_tol", "split_tol", UnitKind::kNumber},
-        {"epb_tol", "epb_tol", UnitKind::kNumber},
-        {"stall", "stall_s", UnitKind::kTimeS},
-        {"mutation", "mutation", UnitKind::kBool},
-    };
-    append_price_keys(f.flow_keys);
-    f.chaos_param = "chaos";
-    f.columns = {"bytes_mb", "epb_err", "faults", "goodput_mbps", "injected",
-                 "mtbf_s", "oracle_checks", "recovery_s", "split_err"};
-    families.push_back(std::move(f));
+    using O = ChaosHealOptions;
+    families.push_back(family<O>(
+        "chaos_heal",
+        "self-healing differential check: faulted vs baseline two-path run",
+        {
+            cc<O>("multipath CC (uncoupled heals in seconds; LIA/OLIA rebalance "
+                  "slowly)"),
+            duration<O>(),
+            two_path_links<O>(),
+            chaos<O>("campaign (chaos/spec.h syntax, or @file)"),
+            {"window_ms", "lockstep measurement window", flow("window", kTimeMs),
+             [](Field& f, O& o) { f.time_ms(o.window); }},
+            {"split_tol", "abs tolerance on path-0 traffic share",
+             flow("split_tol", kNumber), [](Field& f, O& o) { f.number(o.split_tol); }},
+            {"epb_tol", "rel tolerance on energy-per-byte", flow("epb_tol", kNumber),
+             [](Field& f, O& o) { f.number(o.epb_tol); }},
+            {"stall_s", "liveness-oracle stall horizon, seconds", flow("stall", kTimeS),
+             [](Field& f, O& o) { f.time_s(o.stall_window); }},
+            {"mutation", "arm the receiver mutation bug (CI oracle check)",
+             flow("mutation", kBool), [](Field& f, O& o) { f.flag(o.mutation); }},
+            price<O>(),
+        },
+        chaos_heal_point,
+        {"bytes_mb", "epb_err", "faults", "goodput_mbps", "injected", "mtbf_s",
+         "oracle_checks", "recovery_s", "split_err"}));
   }
   {
-    FamilySpec f;
-    f.name = "wireless";
-    f.help = "WiFi + 4G heterogeneous wireless (paper Figs 2, 17)";
-    f.params = {
-        {"cc", "lia", "multipath CC, or \"tcp-wifi\" / \"tcp-cell\""},
-        {"duration_s", "200", "simulated seconds"},
-        {"recv_buffer", "65536", "receive buffer, bytes"},
-    };
-    append_wireless_topo_params(f.params);
-    append_price_params(f.params);
-    f.run = wireless_point;
-    f.topo_keys = kWirelessTopoKeys;
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"recv_buffer", "recv_buffer", UnitKind::kSizeB},
-    };
-    append_price_keys(f.flow_keys);
-    f.columns = {"cell_energy_j", "goodput_mbps", "joules_per_gb",
-                 "marginal_joules_per_gb", "radio_energy_j", "wifi_energy_j",
-                 "wifi_share"};
-    families.push_back(std::move(f));
+    using O = WirelessOptions;
+    families.push_back(family<O>(
+        "wireless", "WiFi + 4G heterogeneous wireless (paper Figs 2, 17)",
+        {
+            cc<O>("multipath CC, or \"tcp-wifi\" / \"tcp-cell\""),
+            duration<O>(),
+            recv_buffer<O>(),
+            wireless_links<O>(),
+            price<O>(),
+        },
+        wireless_point,
+        {"cell_energy_j", "goodput_mbps", "joules_per_gb", "marginal_joules_per_gb",
+         "radio_energy_j", "wifi_energy_j", "wifi_share"}));
   }
   {
-    FamilySpec f;
-    f.name = "handover";
-    f.help = "wireless hetero under scripted dynamics + WiFi<->LTE handover";
-    f.params = {
-        {"cc", "lia", "multipath CC algorithm"},
-        {"duration_s", "30", "simulated seconds"},
-        {"recv_buffer", "65536", "receive buffer, bytes"},
-        {"dyn", "10s handover wifi cell",
-         "dynamics script (dyn/script.h syntax, or @file)"},
-        {"dead_after_timeouts", "6",
-         "consecutive RTOs before a subflow is dead (0 = never)"},
-    };
-    append_wireless_topo_params(f.params);
-    append_price_params(f.params);
-    f.run = handover_point;
-    f.topo_keys = kWirelessTopoKeys;
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"recv_buffer", "recv_buffer", UnitKind::kSizeB},
-        {"dead_after_timeouts", "dead_after_timeouts", UnitKind::kNumber},
-    };
-    append_price_keys(f.flow_keys);
-    f.dyn_param = "dyn";
-    f.columns = {"cell_energy_j", "cell_mbytes", "dyn_actions", "goodput_mbps",
-                 "handover_s", "handovers", "radio_energy_j", "subflow_closes",
-                 "subflow_reopens", "wifi_energy_j", "wifi_idle_power_w",
-                 "wifi_mbytes", "wifi_share", "wifi_tail_power_w"};
-    families.push_back(std::move(f));
+    using O = HandoverOptions;
+    families.push_back(family<O>(
+        "handover", "wireless hetero under scripted dynamics + WiFi<->LTE handover",
+        {
+            cc<O>("multipath CC algorithm"),
+            duration<O>(),
+            recv_buffer<O>(),
+            {"dyn", "dynamics script (dyn/script.h syntax, or @file)", {"dyn"},
+             [](Field& f, O& o) { f.text(o.dyn); }},
+            dead_after_timeouts<O>(),
+            wireless_links<O>(),
+            price<O>(),
+        },
+        handover_point,
+        {"cell_energy_j", "cell_mbytes", "dyn_actions", "goodput_mbps",
+         "handover_s", "handovers", "radio_energy_j", "subflow_closes",
+         "subflow_reopens", "wifi_energy_j", "wifi_idle_power_w", "wifi_mbytes",
+         "wifi_share", "wifi_tail_power_w"}));
   }
   {
-    FamilySpec f;
-    f.name = "flaky_wifi";
-    f.help = "WiFi path degrades mid-run; the CC alone shifts traffic";
-    f.params = {
-        {"cc", "dts", "multipath CC algorithm"},
-        {"duration_s", "40", "simulated seconds"},
-        {"recv_buffer", "65536", "receive buffer, bytes"},
-        {"dyn", "10s rate wifi 10mbps 2mbps over 8s; 10s loss wifi 0 0.03 over 8s",
-         "degradation script (dyn/script.h syntax, or @file)"},
-        {"degrade_at_s", "10", "share-split instant for before/after stats"},
-        {"dead_after_timeouts", "6",
-         "consecutive RTOs before a subflow is dead (0 = never)"},
-    };
-    append_wireless_topo_params(f.params);
-    append_price_params(f.params);
-    f.run = flaky_wifi_point;
-    f.topo_keys = kWirelessTopoKeys;
-    f.flow_keys = {
-        {"cc", "cc", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"recv_buffer", "recv_buffer", UnitKind::kSizeB},
-        {"degrade_at", "degrade_at_s", UnitKind::kTimeS},
-        {"dead_after_timeouts", "dead_after_timeouts", UnitKind::kNumber},
-    };
-    append_price_keys(f.flow_keys);
-    f.dyn_param = "dyn";
-    f.columns = {"cell_mbytes", "dyn_actions", "goodput_mbps",
-                 "radio_energy_j", "wifi_losses", "wifi_mbytes", "wifi_share",
-                 "wifi_share_after", "wifi_share_before"};
-    families.push_back(std::move(f));
+    using O = FlakyWifiOptions;
+    families.push_back(family<O>(
+        "flaky_wifi", "WiFi path degrades mid-run; the CC alone shifts traffic",
+        {
+            cc<O>("multipath CC algorithm"),
+            duration<O>(),
+            recv_buffer<O>(),
+            {"dyn", "degradation script (dyn/script.h syntax, or @file)", {"dyn"},
+             [](Field& f, O& o) { f.text(o.dyn); }},
+            {"degrade_at_s", "share-split instant for before/after stats",
+             flow("degrade_at", kTimeS), [](Field& f, O& o) { f.time_s(o.degrade_at); }},
+            dead_after_timeouts<O>(),
+            wireless_links<O>(),
+            price<O>(),
+        },
+        flaky_wifi_point,
+        {"cell_mbytes", "dyn_actions", "goodput_mbps", "radio_energy_j",
+         "wifi_losses", "wifi_mbytes", "wifi_share", "wifi_share_after",
+         "wifi_share_before"}));
   }
   {
-    FamilySpec f;
-    f.name = "selftest";
-    f.help = "harness self-test ticker (not a paper scenario)";
-    f.params = {
-        {"mode", "ok",
-         "ok: run to duration | throw/invariant: fail at fail_at_s | "
-         "hang: schedule forever (needs a watchdog)"},
-        {"duration_s", "1", "simulated seconds (mode=ok)"},
-        {"fail_at_s", "0.5", "sim-time of the injected failure"},
-    };
-    f.run = selftest_point;
-    f.flow_keys = {
-        {"mode", "mode", UnitKind::kString},
-        {"duration", "duration_s", UnitKind::kTimeS},
-        {"fail_at", "fail_at_s", UnitKind::kTimeS},
-    };
-    f.columns = {"sim_s", "signature", "ticks"};
-    families.push_back(std::move(f));
+    using O = SelftestOptions;
+    families.push_back(family<O>(
+        "selftest", "harness self-test ticker (not a paper scenario)",
+        {
+            {"mode",
+             "ok: run to duration | throw/invariant: fail at fail_at_s | "
+             "hang: schedule forever (needs a watchdog)",
+             flow("mode", kString), [](Field& f, O& o) { f.text(o.mode); }},
+            duration<O>("simulated seconds (mode=ok)"),
+            {"fail_at_s", "sim-time of the injected failure", flow("fail_at", kTimeS),
+             [](Field& f, O& o) { f.time_s(o.fail_at); }},
+        },
+        selftest_point, {"signature", "sim_s", "ticks"}));
   }
-
   return families;
 }
 
@@ -884,33 +804,21 @@ const std::vector<FamilySpec>& families() {
   return table;
 }
 
-const DslKey* find_key(const std::vector<DslKey>& keys, const std::string& key) {
-  for (const DslKey& k : keys) {
-    if (k.key == key) return &k;
+}  // namespace
+
+const Spelling* FamilySpec::find_spelling(const std::string& block,
+                                          const std::string& key) const {
+  for (const Spelling& s : spellings) {
+    if (s.block == block && s.key == key) return &s;
   }
   return nullptr;
 }
 
-}  // namespace
-
-const DslKey* FamilySpec::find_topo_key(const std::string& key) const {
-  return find_key(topo_keys, key);
-}
-
-const DslKey* FamilySpec::find_flow_key(const std::string& key) const {
-  return find_key(flow_keys, key);
-}
-
-const DslKey* FamilySpec::find_arrivals_key(const std::string& key) const {
-  return find_key(arrivals_keys, key);
-}
-
-const DslKey* FamilySpec::find_matrix_key(const std::string& key) const {
-  return find_key(matrix_keys, key);
-}
-
-const DslKey* FamilySpec::find_fidelity_key(const std::string& key) const {
-  return find_key(fidelity_keys, key);
+bool FamilySpec::takes_block(const std::string& block) const {
+  for (const Spelling& s : spellings) {
+    if (s.block == block) return true;
+  }
+  return false;
 }
 
 bool FamilySpec::has_param(const std::string& param) const {

@@ -2,15 +2,19 @@
 // metadata the declarative layer needs to target it.
 //
 // A *family* is one of the paper's experiment shapes (two_path, dumbbell,
-// datacenter, wireless, handover, flaky_wifi, plus the synthetic selftest).
-// Each family bundles:
-//   - the point function that maps a flat ParamMap onto the runner's typed
-//     options and returns one ResultRow (moved here from harness/sweep.cc),
-//   - its full parameter schema (names, defaults, help),
-//   - the DSL key tables the .mpcc parser (scenario/parser.h) maps onto the
+// datacenter, fleet, chaos_heal, wireless, handover, flaky_wifi, plus the
+// synthetic selftest). Each family parameter is declared once, as a knob
+// row in family.cc: its name and help, its .mpcc spelling and unit, and its
+// binding onto the runner's typed options. Everything a FamilySpec exposes
+// is derived from those rows when the family table is built:
+//   - the parameter schema, with each default rendered from the runner's
+//     default-constructed options (so --list shows what actually runs),
+//   - the DSL spellings the .mpcc parser (scenario/parser.h) maps onto the
 //     schema ("wifi.rate 10mbps" -> wifi_rate_mbps=10),
-//   - the result columns the point function emits (golden metrics must name
-//     one of these).
+//   - the point function: apply the rows to a default options struct, run
+//     the runner, flatten its result into one ResultRow.
+// The result columns the point function emits (golden metrics must name
+// one of these) are declared next to it.
 //
 // Built-in scenarios and file-loaded experiments both compile down to a
 // family + a set of parameter overrides (scenario/builder.h), so every
@@ -43,27 +47,24 @@ enum class UnitKind {
   kSizeMb,  ///< <n>[b|kb|mb|gb] (decimal) -> megabytes
 };
 
-/// Maps one DSL key ("wifi.rate") onto a family parameter ("wifi_rate_mbps").
-struct DslKey {
-  std::string key;    ///< spelling inside a topo{}/flow{} block
-  std::string param;  ///< target entry in the family's ParamSpec table
+/// The .mpcc spelling of one family parameter: `<block> { <key> <value> }`.
+struct Spelling {
+  std::string block;  ///< topo, flow, arrivals, matrix or fidelity
+  std::string key;    ///< spelling inside the block ("wifi.rate")
+  std::string param;  ///< the parameter it sets ("wifi_rate_mbps")
   UnitKind unit = UnitKind::kString;
 };
 
 /// One experiment family: runner, schema, DSL surface, emitted columns.
+/// All but name, help and columns are derived from the family's knob rows.
 struct FamilySpec {
   std::string name;
   std::string help;
+  /// One entry per knob row, in row order.
   std::vector<ParamSpec> params;
   std::function<ResultRow(SimContext&, const ParamMap&)> run;
-  std::vector<DslKey> topo_keys;
-  std::vector<DslKey> flow_keys;
-  /// Workload blocks (fleet family): arrival process, traffic matrix, and
-  /// simulation-fidelity keys. Empty tables mean the family rejects the
-  /// corresponding block ("family X takes no `arrivals` block").
-  std::vector<DslKey> arrivals_keys;
-  std::vector<DslKey> matrix_keys;
-  std::vector<DslKey> fidelity_keys;
+  /// Spellings of the parameters that have one inside a key/value block.
+  std::vector<Spelling> spellings;
   /// Parameter receiving the dynamics script; empty = family takes no dyn
   /// block ("handover"/"flaky_wifi" use "dyn").
   std::string dyn_param;
@@ -73,11 +74,12 @@ struct FamilySpec {
   /// Result columns the point function emits, in row (alphabetical) order.
   std::vector<std::string> columns;
 
-  const DslKey* find_topo_key(const std::string& key) const;
-  const DslKey* find_flow_key(const std::string& key) const;
-  const DslKey* find_arrivals_key(const std::string& key) const;
-  const DslKey* find_matrix_key(const std::string& key) const;
-  const DslKey* find_fidelity_key(const std::string& key) const;
+  /// The parameter spelled `key` inside a `block {}`; nullptr when none is.
+  const Spelling* find_spelling(const std::string& block,
+                                const std::string& key) const;
+  /// True if some parameter is spelled inside `block {}`. The workload
+  /// blocks (arrivals, matrix, fidelity) are only accepted when it is.
+  bool takes_block(const std::string& block) const;
   bool has_param(const std::string& param) const;
   bool has_column(const std::string& column) const;
 };

@@ -272,21 +272,10 @@ ExperimentSpec parse_experiment(const std::string& text,
                head.text == "arrivals" || head.text == "matrix" ||
                head.text == "fidelity") {
       const FamilySpec& fam = require_family(line_no, head);
-      const std::vector<DslKey>* keys = nullptr;
-      if (head.text == "topo") {
-        keys = &fam.topo_keys;
-      } else if (head.text == "flow") {
-        keys = &fam.flow_keys;
-      } else if (head.text == "arrivals") {
-        keys = &fam.arrivals_keys;
-      } else if (head.text == "matrix") {
-        keys = &fam.matrix_keys;
-      } else {
-        keys = &fam.fidelity_keys;
-      }
-      // The workload blocks only exist for families that declare key tables
-      // for them (the fleet family); topo/flow stay universally accepted.
-      if (keys->empty() && head.text != "topo" && head.text != "flow") {
+      // The workload blocks only exist for families with parameters spelled
+      // in them (the fleet family); topo/flow stay universally accepted.
+      if (head.text != "topo" && head.text != "flow" &&
+          !fam.takes_block(head.text)) {
         fail(source, line_no, head.col,
              "family \"" + fam.name + "\" takes no `" + head.text + "` block");
       }
@@ -308,13 +297,7 @@ ExperimentSpec parse_experiment(const std::string& text,
           fail(source, inner_no, ts[0].col,
                "expected `<key> <value>` inside the " + head.text + " block");
         }
-        const DslKey* key = nullptr;
-        for (const DslKey& k : *keys) {
-          if (k.key == ts[0].text) {
-            key = &k;
-            break;
-          }
-        }
+        const Spelling* key = fam.find_spelling(head.text, ts[0].text);
         if (key == nullptr) {
           fail(source, inner_no, ts[0].col,
                "unknown " + head.text + " key \"" + ts[0].text +

@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -150,8 +151,8 @@ TEST(ScenarioParser, RejectsMalformedInputWithPreciseReasons) {
        "has unknown unit (b|kb|mb)"},
       {"experiment a\nfamily datacenter\nflow {\n  subflows four\n}\n",
        "is not a number"},
-      // workload blocks are fleet-only: families without key tables for
-      // them reject the whole block with a locked message
+      // workload blocks are fleet-only: families with no parameter spelled
+      // in them reject the whole block with a locked message
       {"experiment a\nfamily two_path\narrivals {\n  process poisson\n}\n",
        "family \"two_path\" takes no `arrivals` block"},
       {"experiment a\nfamily datacenter\narrivals {\n  rate 100\n}\n",
@@ -460,6 +461,34 @@ TEST(ScenarioBuilder, UnknownFamilyThrows) {
   spec.name = "x";
   spec.family = "warp";
   EXPECT_THROW(build_scenario(spec), std::invalid_argument);
+}
+
+// The schema --list prints must be what actually runs: passing every listed
+// default explicitly changes no bit of the row. And each family's declared
+// columns are exactly the row it emits, in row order.
+TEST(ScenarioFamily, ListedDefaultsAreWhatRunsAndColumnsMatchTheRow) {
+  register_builtin_experiments();
+  for (const FamilySpec* family : all_families()) {
+    SCOPED_TRACE(family->name);
+    ParamMap shortened = {{"duration_s", "0.3"}};
+    if (family->name == "chaos_heal") shortened = {{"duration_s", "30"}};
+    if (family->name == "dumbbell") shortened = {{"max_time_s", "3"}};
+
+    ParamMap listed;
+    for (const harness::ParamSpec& p : family->params) {
+      listed[p.name] = p.default_value;
+    }
+    for (const auto& [param, value] : shortened) listed[param] = value;
+
+    const ResultRow implicit = run_point(family->name, shortened);
+    const ResultRow explicit_defaults = run_point(family->name, listed);
+    ASSERT_FALSE(implicit.empty());
+    EXPECT_EQ(implicit, explicit_defaults);
+
+    std::vector<std::string> keys;
+    for (const auto& [column, value] : implicit) keys.push_back(column);
+    EXPECT_EQ(keys, family->columns);
+  }
 }
 
 // ---------------------------------------------------------------- golden
