@@ -52,7 +52,7 @@ void BM_QueuePipePacketPath(benchmark::State& state) {
   route->push_back(sink);
   std::int64_t seq = 0;
   for (auto _ : state) {
-    route->inject(make_data_packet(1, seq, 1460, route, net.now()));
+    route->inject(make_data_packet(1, seq, 1460, net.now()));
     seq += 1460;
     net.events().run_all();
   }

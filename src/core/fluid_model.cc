@@ -15,13 +15,18 @@ FluidModel::FluidModel(
     : net_(std::move(net)), alg_(alg), dts_c_(dts_c), phi_(std::move(phi)) {}
 
 std::vector<double> FluidModel::link_loads(const FluidState& x) const {
-  std::vector<double> loads(net_.links.size(), 0.0);
+  std::vector<double> loads;
+  link_loads(x, loads);
+  return loads;
+}
+
+void FluidModel::link_loads(const FluidState& x, std::vector<double>& loads) const {
+  loads.assign(net_.links.size(), 0.0);
   for (std::size_t u = 0; u < net_.users.size(); ++u) {
     for (std::size_t p = 0; p < net_.users[u].paths.size(); ++p) {
       for (std::size_t l : net_.users[u].paths[p].links) loads[l] += x[u][p];
     }
   }
-  return loads;
 }
 
 double FluidModel::path_loss(std::size_t user, std::size_t path,
@@ -46,14 +51,23 @@ double FluidModel::path_rtt(std::size_t user, std::size_t path,
 }
 
 FluidState FluidModel::derivative(const FluidState& x) const {
-  const std::vector<double> loads = link_loads(x);
-  FluidState dx(x.size());
+  Workspace ws;
+  FluidState dx;
+  derivative(x, dx, ws);
+  return dx;
+}
+
+void FluidModel::derivative(const FluidState& x, FluidState& dx, Workspace& ws) const {
+  link_loads(x, ws.loads);
+  const std::vector<double>& loads = ws.loads;
+  dx.resize(x.size());
   for (std::size_t u = 0; u < net_.users.size(); ++u) {
     const std::size_t np = net_.users[u].paths.size();
     dx[u].assign(np, 0.0);
 
     // Build the PathState vector for psi evaluation: windows w = x * rtt.
-    std::vector<PathState> states(np);
+    std::vector<PathState>& states = ws.states;
+    states.assign(np, PathState{});
     for (std::size_t p = 0; p < np; ++p) {
       const double rtt = path_rtt(u, p, loads);
       states[p].rtt = rtt;
@@ -75,7 +89,6 @@ FluidState FluidModel::derivative(const FluidState& x) const {
       dx[u][p] = increase - decrease - phi_term;
     }
   }
-  return dx;
 }
 
 void FluidModel::clamp_nonnegative(FluidState& x, double floor) {
@@ -86,31 +99,41 @@ void FluidModel::clamp_nonnegative(FluidState& x, double floor) {
   }
 }
 
-FluidState FluidModel::rk4_step(const FluidState& x, double dt) const {
-  auto axpy = [](const FluidState& a, const FluidState& b, double s) {
-    FluidState out = a;
-    for (std::size_t u = 0; u < a.size(); ++u)
-      for (std::size_t p = 0; p < a[u].size(); ++p) out[u][p] += s * b[u][p];
-    return out;
+void FluidModel::rk4_step(FluidState& x, double dt, Workspace& ws) const {
+  // stage = x + s * k, the RK4 probe point.
+  const auto probe = [&x, &ws](const FluidState& k, double s) -> const FluidState& {
+    ws.stage.resize(x.size());
+    for (std::size_t u = 0; u < x.size(); ++u) {
+      ws.stage[u].resize(x[u].size());
+      for (std::size_t p = 0; p < x[u].size(); ++p) ws.stage[u][p] = x[u][p] + s * k[u][p];
+    }
+    return ws.stage;
   };
-  const FluidState k1 = derivative(x);
-  const FluidState k2 = derivative(axpy(x, k1, dt / 2));
-  const FluidState k3 = derivative(axpy(x, k2, dt / 2));
-  const FluidState k4 = derivative(axpy(x, k3, dt));
-  FluidState out = x;
+  derivative(x, ws.k1, ws);
+  derivative(probe(ws.k1, dt / 2), ws.k2, ws);
+  derivative(probe(ws.k2, dt / 2), ws.k3, ws);
+  derivative(probe(ws.k3, dt), ws.k4, ws);
+  const FluidState& k1 = ws.k1;
+  const FluidState& k2 = ws.k2;
+  const FluidState& k3 = ws.k3;
+  const FluidState& k4 = ws.k4;
   for (std::size_t u = 0; u < x.size(); ++u) {
     for (std::size_t p = 0; p < x[u].size(); ++p) {
-      out[u][p] += dt / 6.0 * (k1[u][p] + 2 * k2[u][p] + 2 * k3[u][p] + k4[u][p]);
+      x[u][p] += dt / 6.0 * (k1[u][p] + 2 * k2[u][p] + 2 * k3[u][p] + k4[u][p]);
     }
   }
-  clamp_nonnegative(out, kRateFloor);
-  return out;
+  clamp_nonnegative(x, kRateFloor);
 }
 
 FluidState FluidModel::integrate(FluidState x, double dt, double t_end) const {
-  assert(dt > 0);
-  for (double t = 0; t < t_end; t += dt) x = rk4_step(x, dt);
+  Workspace ws;
+  integrate(x, dt, t_end, ws);
   return x;
+}
+
+void FluidModel::integrate(FluidState& x, double dt, double t_end, Workspace& ws) const {
+  assert(dt > 0);
+  for (double t = 0; t < t_end; t += dt) rk4_step(x, dt, ws);
 }
 
 FluidState FluidModel::initial_state(double x0) const {

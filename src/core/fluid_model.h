@@ -59,8 +59,19 @@ class FluidModel {
 
   const FluidNetwork& network() const { return net_; }
 
+  /// Reusable buffers for the integrator. The first step sizes them to the
+  /// state's shape; later steps and calls recycle them, so integrating
+  /// through a long-lived Workspace allocates nothing.
+  struct Workspace {
+    std::vector<double> loads;
+    std::vector<PathState> states;
+    FluidState k1, k2, k3, k4, stage;
+  };
+
   /// Aggregate load y_l on every link.
   std::vector<double> link_loads(const FluidState& x) const;
+  /// Same, into `loads` (resized to the link count).
+  void link_loads(const FluidState& x, std::vector<double>& loads) const;
 
   /// Loss price lambda_r for one path of one user.
   double path_loss(std::size_t user, std::size_t path,
@@ -75,6 +86,9 @@ class FluidModel {
 
   /// Fourth-order Runge-Kutta integration for `t_end` seconds with step `dt`.
   FluidState integrate(FluidState x, double dt, double t_end) const;
+  /// Same, advancing `x` in place with `ws`'s buffers; bit-identical to the
+  /// value form (same operations in the same order).
+  void integrate(FluidState& x, double dt, double t_end, Workspace& ws) const;
 
   /// Integrates from a small uniform start until the relative derivative
   /// norm falls below `tol` (or max_time is hit). Returns the equilibrium.
@@ -87,7 +101,8 @@ class FluidModel {
   std::vector<double> user_rates(const FluidState& x) const;
 
  private:
-  FluidState rk4_step(const FluidState& x, double dt) const;
+  void derivative(const FluidState& x, FluidState& dx, Workspace& ws) const;
+  void rk4_step(FluidState& x, double dt, Workspace& ws) const;
   static void clamp_nonnegative(FluidState& x, double floor);
 
   FluidNetwork net_;

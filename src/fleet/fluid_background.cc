@@ -62,12 +62,12 @@ void FluidBackgroundDriver::tick() {
   const double cadence_s = to_seconds(config_.cadence);
   // Advance the background ODE by one cadence (RK4, 8 steps per cadence —
   // plenty for these smooth single-link dynamics).
-  state_ = model_->integrate(std::move(state_), cadence_s / 8.0, cadence_s);
-  const std::vector<double> loads = model_->link_loads(state_);
+  model_->integrate(state_, cadence_s / 8.0, cadence_s, ws_);
+  model_->link_loads(state_, loads_);
 
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     Queue* q = queues_[i];
-    const double sat = std::clamp(loads[i] / cap_fluid_[i], 0.0, 1.0);
+    const double sat = std::clamp(loads_[i] / cap_fluid_[i], 0.0, 1.0);
     saturation_[i] = sat;
     // Service-rate pressure: the background occupies share*sat of the link.
     const double fraction =

@@ -79,6 +79,8 @@ class FluidBackgroundDriver {
   core::FluidNetwork fluid_net_;
   std::unique_ptr<core::FluidModel> model_;
   core::FluidState state_;
+  core::FluidModel::Workspace ws_;  ///< integrator buffers, reused every tick
+  std::vector<double> loads_;       ///< per-link fluid load, reused every tick
 
   std::vector<Rate> base_rate_;      ///< configured queue rates (100%)
   std::vector<double> cap_fluid_;    ///< background capacity per link, MSS/s

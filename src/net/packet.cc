@@ -3,27 +3,23 @@
 namespace mpcc {
 
 Packet make_data_packet(std::uint64_t flow_id, std::int64_t seq, Bytes payload,
-                        const Route* route, SimTime now) {
+                        SimTime now) {
   Packet p;
   p.type = PacketType::kData;
   p.flow_id = flow_id;
   p.seq = seq;
   p.payload = payload;
-  p.route = route;
-  p.next_hop = 0;
   p.ts = now;
   return p;
 }
 
-Packet make_ack_packet(std::uint64_t flow_id, std::int64_t cum_ack, const Route* route,
-                       SimTime now, SimTime ts_echo) {
+Packet make_ack_packet(std::uint64_t flow_id, std::int64_t cum_ack, SimTime now,
+                       SimTime ts_echo) {
   Packet p;
   p.type = PacketType::kAck;
   p.flow_id = flow_id;
   p.seq = cum_ack;
   p.payload = 0;
-  p.route = route;
-  p.next_hop = 0;
   p.ts = now;
   p.ts_echo = ts_echo;
   return p;

@@ -36,7 +36,7 @@ void Pipe::set_delay(SimTime delay) {
   delay_ = delay;
 }
 
-void Pipe::receive(Packet pkt) {
+void Pipe::receive(Packet&& pkt) {
   if (down_) {
     ++down_drops_;
     ++perf_drops_;
@@ -59,19 +59,24 @@ void Pipe::receive(Packet pkt) {
   SimTime deliver_at = events_.now() + delay_ + extra;
   if (deliver_at < last_delivery_) deliver_at = last_delivery_;
   last_delivery_ = deliver_at;
+  PacketHandler* const next = Route::next_hop(pkt);
   if (verdict == FaultVerdict::kDuplicate) {
     ++accepted_;
-    in_flight_.push_back(InFlight{deliver_at, pkt});  // the twin rides first
+    in_flight_.push_back(InFlight{deliver_at, next, pkt});  // the twin rides first
   }
   ++accepted_;
-  in_flight_.push_back(InFlight{deliver_at, std::move(pkt)});
+  in_flight_.push_back(InFlight{deliver_at, next, std::move(pkt)});
   if (verdict == FaultVerdict::kReorder && in_flight_.size() >= 2) {
-    // Swap packet contents with the predecessor: the delivery schedule (and
-    // with it the monotone clamp and the conservation ledger) is untouched,
-    // but the bytes leave the pipe out of send order.
-    std::swap(in_flight_[in_flight_.size() - 1].pkt,
-              in_flight_[in_flight_.size() - 2].pkt);
+    // Swap packet contents (and with them their next hops: the predecessor
+    // may belong to another route) with the predecessor. The delivery
+    // schedule — and with it the monotone clamp and the conservation
+    // ledger — is untouched, but the bytes leave the pipe out of send order.
+    InFlight& last = in_flight_[in_flight_.size() - 1];
+    InFlight& prev = in_flight_[in_flight_.size() - 2];
+    std::swap(last.pkt, prev.pkt);
+    std::swap(last.next, prev.next);
   }
+  set_prefetch_hint(&in_flight_.front());  // the push may have grown the ring
   if (!event_pending_) {
     event_pending_ = true;
     events_.schedule_at(this, deliver_at);
@@ -86,14 +91,16 @@ void Pipe::do_next_event() {
   // Deliver everything due now (simultaneous arrivals collapse into one
   // event when they share a timestamp).
   while (!in_flight_.empty() && in_flight_.front().deliver_at <= events_.now()) {
+    PacketHandler* const next = in_flight_.front().next;
     Packet pkt = std::move(in_flight_.front().pkt);
     in_flight_.pop_front();
     ++forwarded_;
-    Route::forward(std::move(pkt));
+    next->receive(std::move(pkt));
   }
   if (!in_flight_.empty()) {
     event_pending_ = true;
     events_.schedule_at(this, in_flight_.front().deliver_at);
+    set_prefetch_hint(&in_flight_.front());
   }
   // Packet conservation across delivery + dyn flushes: admitted = forwarded
   // + flushed + still in flight.

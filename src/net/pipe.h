@@ -10,6 +10,13 @@
 // reordering when the delay shrinks) and it can be taken administratively
 // down, which drops arrivals at ingress and optionally flushes the packets
 // already in flight (a radio that loses association loses its airframes).
+//
+// Cache layout of the hot path: at ingress the pipe reads its packet's next
+// hop from the route's hop array (net/route.h) — the line the previous hop
+// just read — and stores the handler beside the packet in the in-flight
+// ring. Delivery then calls that handler directly, without touching the
+// route. The ring front doubles as the pipe's EventSource prefetch hint, so
+// the event loop pulls it into cache one dispatch ahead.
 #pragma once
 
 #include "net/route.h"
@@ -41,7 +48,7 @@ class Pipe : public PacketHandler, public EventSource, public PerfFlushable {
   Pipe(EventList& events, std::string name, SimTime delay);
   ~Pipe() override;
 
-  void receive(Packet pkt) override;
+  void receive(Packet&& pkt) override;
   void do_next_event() override;
   /// Batched perf-ledger update: adds the drop delta since the last flush
   /// (driven per run_until/run_all by the EventList). Pipes contribute only
@@ -92,6 +99,7 @@ class Pipe : public PacketHandler, public EventSource, public PerfFlushable {
  private:
   struct InFlight {
     SimTime deliver_at;
+    PacketHandler* next;  // pkt's next hop, read at ingress
     Packet pkt;
   };
 

@@ -55,7 +55,7 @@ void Queue::set_down(bool down) {
   fifo_.clear();
 }
 
-void Queue::receive(Packet pkt) {
+void Queue::receive(Packet&& pkt) {
   // Drops and enqueues feed the perf ledger in batches (flush_perf), not
   // per packet: the member counters below already carry the totals.
   if (down_) {
@@ -119,15 +119,24 @@ void Queue::receive(Packet pkt) {
   }
 }
 
-void Queue::start_service(Packet pkt) {
+void Queue::start_service(Packet&& pkt) {
   busy_ = true;
   service_started_ = events_.now();
   in_service_ = std::move(pkt);
   events_.schedule_in(this, service_time(in_service_.wire_size()));
+  set_prefetch_hint(in_service_.hop);
 }
 
 void Queue::do_next_event() {
   MPCC_CHECK(busy_, "net.queue.service");
+  // Start loading the next hop's object (vptr line and first member line)
+  // now, so the bookkeeping below overlaps the miss that forwarding would
+  // otherwise stall on. The hop entry itself is this queue's prefetch hint.
+  {
+    const auto next = reinterpret_cast<std::uintptr_t>(*in_service_.hop);
+    __builtin_prefetch(reinterpret_cast<const void*>(next));
+    __builtin_prefetch(reinterpret_cast<const void*>(next + 64));
+  }
   busy_time_ += events_.now() - service_started_;
   queued_bytes_ -= in_service_.wire_size();
   // A link that went down mid-serialisation loses the frame on the wire.
@@ -156,6 +165,7 @@ void Queue::do_next_event() {
     in_service_ = std::move(fifo_.front());
     fifo_.pop_front();
     events_.schedule_in(this, service_time(in_service_.wire_size()));
+    set_prefetch_hint(in_service_.hop);
   } else {
     busy_ = false;
   }

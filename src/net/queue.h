@@ -5,6 +5,12 @@
 // would overflow the buffer are dropped (tail drop). Buffer capacity can be
 // expressed in bytes or packets (the paper's ns-2 wireless setup uses a
 // 50-*packet* DropTail queue).
+//
+// A service completion forwards the packet on the wire to the hop under its
+// hop cursor (net/route.h). That hop-array entry is the queue's EventSource
+// prefetch hint, so the event loop pulls it into cache one dispatch ahead
+// instead of the completion stalling on it; the completion in turn starts
+// loading the next hop's object before its own bookkeeping.
 #pragma once
 
 #include <limits>
@@ -26,7 +32,7 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
         std::size_t capacity_packets = 0);
   ~Queue() override;
 
-  void receive(Packet pkt) override;
+  void receive(Packet&& pkt) override;
   void do_next_event() override;
   /// Batched perf-ledger update: adds the enqueue/forward/drop deltas since
   /// the last flush (driven per run_until/run_all by the EventList).
@@ -91,7 +97,7 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
   obs::PerfCounters* perf_ctrs_ = nullptr;
 
  private:
-  void start_service(Packet pkt);
+  void start_service(Packet&& pkt);
 
   /// transmission_time(size, rate_) with a one-entry memo. Traffic is
   /// dominated by a single MSS (plus a single ACK size on reverse paths),

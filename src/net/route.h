@@ -1,15 +1,25 @@
 // Source routing, htsim-style.
 //
-// A Route is an ordered list of PacketHandlers (queues, pipes, and finally
-// an endpoint). Senders stamp the route on the packet; each hop calls
-// Route::forward to move the packet along. Routes are owned by the Network
-// and stable while any packet references them, so raw non-owning pointers
-// on packets are safe. The one sanctioned mutation after wiring is
-// MptcpConnection::rebind_paths, which rewrites a drained rig's routes in
-// place (fleet flow recycling) — legal precisely because a drained and
-// cooled-down rig has no packets in flight holding the route pointer.
+// A Route is an ordered, contiguous array of PacketHandlers (queues, pipes,
+// and finally an endpoint), kept with a null entry after the last hop.
+// Route::inject aims the packet's hop cursor (Packet::hop) at the first
+// entry; each hop calls Route::forward, which loads the handler under the
+// cursor and advances it. A packet in flight therefore never touches the
+// Route object itself — only the hop array line, which the previous hop
+// just read. A cursor that reaches the null entry ran off the end of its
+// route (asserted in debug builds). Pipes read their packet's next hop at
+// ingress, while that line is hot, and keep it beside the packet
+// (net/pipe.h).
+//
+// Routes are owned by the Network and stable while any packet points into
+// them, so raw cursors on packets are safe. The one sanctioned mutation
+// after wiring is MptcpConnection::rebind_paths, which rewrites a drained
+// rig's routes in place (fleet flow recycling) — legal precisely because a
+// drained and cooled-down rig has no packets in flight holding a cursor
+// into the old hop array.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "net/packet.h"
@@ -21,39 +31,61 @@ class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
   /// Takes ownership of the packet: the handler forwards it or drops it.
-  virtual void receive(Packet pkt) = 0;
+  virtual void receive(Packet&& pkt) = 0;
 };
 
 class Route {
  public:
   Route() = default;
-  explicit Route(std::vector<PacketHandler*> hops) : hops_(std::move(hops)) {}
+  explicit Route(std::vector<PacketHandler*> hops) : hops_(std::move(hops)) {
+    hops_.push_back(nullptr);
+  }
 
-  void push_back(PacketHandler* hop) { hops_.push_back(hop); }
+  void push_back(PacketHandler* hop) {
+    hops_.back() = hop;
+    hops_.push_back(nullptr);
+  }
 
   /// Drops all hops so the route can be rebuilt for a new path (capacity is
-  /// retained). Only legal when no packet in flight references this route.
-  void clear() { hops_.clear(); }
+  /// retained). Only legal when no packet in flight points into this route.
+  void clear() {
+    hops_.resize(1);
+    hops_.front() = nullptr;
+  }
 
   /// Appends all hops of `tail` (used to splice access + core segments).
   void append(const Route& tail) {
+    hops_.pop_back();
     hops_.insert(hops_.end(), tail.hops_.begin(), tail.hops_.end());
   }
 
-  std::size_t size() const { return hops_.size(); }
-  bool empty() const { return hops_.empty(); }
+  std::size_t size() const { return hops_.size() - 1; }
+  bool empty() const { return size() == 0; }
   PacketHandler* hop(std::size_t i) const { return hops_[i]; }
 
-  /// Delivers `pkt` to its next hop, advancing the hop index. The packet
-  /// must still have hops remaining. Takes an rvalue so the hop advance
-  /// happens in the caller's packet — the only copy is into receive().
-  static void forward(Packet&& pkt);
+  /// Takes the hop under `pkt`'s cursor and advances the cursor past it.
+  /// The packet must still have hops remaining.
+  static PacketHandler* next_hop(Packet& pkt) {
+    PacketHandler* next = *pkt.hop++;
+    assert(next != nullptr && "packet ran off the end of its route");
+    return next;
+  }
+
+  /// Delivers `pkt` to its next hop, advancing the hop cursor.
+  static void forward(Packet&& pkt) {
+    PacketHandler* next = next_hop(pkt);
+    next->receive(std::move(pkt));
+  }
 
   /// Injects `pkt` at the first hop of this route.
-  void inject(Packet pkt) const;
+  void inject(Packet&& pkt) const {
+    assert(!empty());
+    pkt.hop = hops_.data();
+    forward(std::move(pkt));
+  }
 
  private:
-  std::vector<PacketHandler*> hops_;
+  std::vector<PacketHandler*> hops_{nullptr};  // hops, then the null end
 };
 
 }  // namespace mpcc

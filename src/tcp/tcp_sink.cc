@@ -25,14 +25,13 @@ void TcpSink::enable_delayed_acks(SimTime timeout) {
 }
 
 void TcpSink::send_ack(SimTime ts_echo, bool ecn_ce, bool ecn_capable) {
-  Packet ack = make_ack_packet(last_flow_id_, cum_ack_, reverse_route_, net_.now(),
-                               ts_echo);
+  Packet ack = make_ack_packet(last_flow_id_, cum_ack_, net_.now(), ts_echo);
   ack.ecn_echo = ecn_ce;
   ack.ecn_capable = ecn_capable;
   reverse_route_->inject(std::move(ack));
 }
 
-void TcpSink::receive(Packet pkt) {
+void TcpSink::receive(Packet&& pkt) {
   assert(pkt.type == PacketType::kData);
   if (pkt.corrupted) {
     // Checksum failure: discard without acknowledging, so recovery rides

@@ -182,7 +182,7 @@ void TcpSrc::send_available() {
 }
 
 void TcpSrc::send_segment(std::int64_t seq, const SegmentMeta& meta, bool retransmit) {
-  Packet pkt = make_data_packet(flow_id_, seq, meta.len, forward_, net_.now());
+  Packet pkt = make_data_packet(flow_id_, seq, meta.len, net_.now());
   pkt.data_seq = meta.data_seq;
   pkt.ecn_capable = config_.ecn_capable;
   last_send_time_ = net_.now();
@@ -215,7 +215,7 @@ const TcpSrc::SentSegment* TcpSrc::find_segment(std::int64_t seq) const {
   return nullptr;
 }
 
-void TcpSrc::receive(Packet pkt) {
+void TcpSrc::receive(Packet&& pkt) {
   MPCC_CHECK_INVARIANT(pkt.type == PacketType::kAck, "tcp.ack",
                        name() << ": non-ACK packet delivered to source");
   // Checksum failure (chaos corruption): discard silently — a corrupted ACK

@@ -14,7 +14,7 @@ namespace mpcc {
 /// Terminal handler that counts and discards (cross-traffic receiver).
 class CountingSink final : public PacketHandler {
  public:
-  void receive(Packet pkt) override {
+  void receive(Packet&& pkt) override {
     ++packets_;
     bytes_ += pkt.payload;
   }

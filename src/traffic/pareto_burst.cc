@@ -33,7 +33,7 @@ void CbrSource::do_next_event() {
   pending_ = kInvalidEventToken;
   if (!running_) return;
   Packet pkt = make_data_packet(flow_id_, static_cast<std::int64_t>(packets_sent_) * payload_,
-                                payload_, route_, net_.now());
+                                payload_, net_.now());
   route_->inject(std::move(pkt));
   ++packets_sent_;
   const SimTime interval = transmission_time(payload_ + kHeaderBytes, rate_);

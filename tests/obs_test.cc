@@ -615,6 +615,50 @@ TEST_F(ObsTest, PerfStatsJsonRoundTripsThroughCheckpoint) {
   EXPECT_EQ(pf.peak_rss, std::uint64_t{64} << 20);
 }
 
+// The sim-deterministic counters of three small runs, pinned exactly. A
+// hot-path change that claims bit-identical behaviour must leave the event
+// count, the timer count and the packet ledger of two fleet runs (FatTree
+// k=4, hybrid fluid background, rig recycling) and of a two-path bulk run
+// where they are. The values were captured from this toolchain's build, like the
+// golden bank; a deliberate behaviour change re-captures them.
+TEST_F(ObsTest, DeterministicCountersArePinned) {
+  struct Pin {
+    const char* name;
+    harness::SweepPlan plan;
+    std::uint64_t events, timers, enqueued, forwarded, dropped;
+  };
+  const auto fleet = [](const char* pattern) {
+    harness::SweepPlan plan;
+    plan.scenario = "fleet";
+    plan.axes = {{"cc", {"lia"}},         {"fattree_k", {"4"}},
+                 {"duration_s", {"0.5"}}, {"rate_fps", {"500"}},
+                 {"size_b", {"20000"}},   {"fidelity", {"hybrid"}},
+                 {"bg_share", {"0.7"}},   {"pattern", {pattern}}};
+    return plan;
+  };
+  harness::SweepPlan two_path;
+  two_path.scenario = "two_path";
+  two_path.axes = {{"cc", {"lia"}}, {"duration_s", {"1"}}};
+  // Uniform pairs recycle rigs through rebind_paths; incast fans in on
+  // host 0 and drops at its edge queue.
+  const Pin pins[] = {
+      {"fleet uniform", fleet("uniform"), 83963, 1060, 41515, 41506, 0},
+      {"fleet incast", fleet("incast"), 84049, 1597, 41365, 41257, 156},
+      {"two_path", two_path, 50410, 100, 25308, 25306, 0},
+  };
+  for (const Pin& pin : pins) {
+    const harness::SweepReport r = harness::run_sweep(pin.plan, {});
+    ASSERT_EQ(r.points.size(), 1u) << pin.name;
+    ASSERT_TRUE(r.points[0].ok) << pin.name << ": " << r.points[0].error;
+    const obs::PerfStats& p = r.points[0].perf;
+    EXPECT_EQ(p.events_dispatched, pin.events) << pin.name;
+    EXPECT_EQ(p.timers_fired, pin.timers) << pin.name;
+    EXPECT_EQ(p.packets_enqueued, pin.enqueued) << pin.name;
+    EXPECT_EQ(p.packets_forwarded, pin.forwarded) << pin.name;
+    EXPECT_EQ(p.packets_dropped, pin.dropped) << pin.name;
+  }
+}
+
 TEST_F(ObsTest, BenchEnvJsonHasProvenanceFields) {
   const std::string env = obs::bench_env_json();
   EXPECT_NE(env.find("\"git_sha\""), std::string::npos);

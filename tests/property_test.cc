@@ -48,7 +48,7 @@ TEST_P(QueueConservation, ForwardedPlusDroppedEqualsArrived) {
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
   for (int i = 0; i < c.packets; ++i) {
-    route->inject(make_data_packet(1, i * 1460, 1460, route, net.now()));
+    route->inject(make_data_packet(1, i * 1460, 1460, net.now()));
   }
   net.events().run_all();
   EXPECT_EQ(q->forwarded() + q->drops(), static_cast<std::uint64_t>(c.packets));
@@ -64,7 +64,7 @@ TEST_P(QueueConservation, ServiceTimeMatchesRate) {
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
   for (int i = 0; i < c.packets; ++i) {
-    route->inject(make_data_packet(1, i * 1460, 1460, route, net.now()));
+    route->inject(make_data_packet(1, i * 1460, 1460, net.now()));
   }
   net.events().run_all();
   const SimTime expected =

@@ -304,7 +304,7 @@ TEST(WirelessHetero, QueueLimitIs50Packets) {
   r->push_back(wh.forward_pipe(0));
   r->push_back(sink);
   for (int i = 0; i < 60; ++i) {
-    r->inject(make_data_packet(1, i * 1460, 1460, r, 0));
+    r->inject(make_data_packet(1, i * 1460, 1460, 0));
   }
   EXPECT_EQ(wh.bottleneck_queue(0)->queued_packets(), 50u);
   EXPECT_EQ(wh.bottleneck_queue(0)->drops(), 10u);

@@ -201,7 +201,7 @@ BenchRun bench_queue_pipe_packet(bool smoke) {
   route->push_back(sink);
   std::int64_t seq = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
-    route->inject(make_data_packet(1, seq, 1460, route, net.now()));
+    route->inject(make_data_packet(1, seq, 1460, net.now()));
     seq += 1460;
     net.events().run_all();
   }

@@ -28,8 +28,10 @@
 //   --trace-capacity=N     per-run tracer ring capacity
 //   --run-metrics          per-run metric snapshots (needs --out)
 //   --csv=FILE / --json=FILE   merged results
-//   --bench=FILE           also run a --jobs=1 baseline and write a
-//                          BENCH_sweep.json-style wall-clock summary
+//   --bench=FILE           also time a --jobs=1 baseline, alternating it
+//                          with the parallel run over 3 repetitions, and
+//                          write a BENCH_sweep.json-style wall-clock
+//                          summary (median speedup with its min/max)
 //   --quiet                suppress the per-run progress lines
 //
 // Robustness flags (docs/ROBUSTNESS.md): each run executes under a
@@ -258,34 +260,56 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Repetitions of the --bench comparison. Each pairs one parallel and one
+/// --jobs=1 run of the whole plan, and the side that goes first alternates,
+/// so host drift over the measurement hits both sides alike.
+constexpr int kBenchReps = 3;
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 // Writes the BENCH_sweep.json wall-clock summary: parallel points/sec and
-// speedup over the measured --jobs=1 baseline, stamped with the shared
+// speedup over the measured --jobs=1 baseline (medians over the
+// repetitions, with the speedup's min/max), stamped with the shared
 // build/env provenance (bench/bench_util.h) and the aggregate perf ledger.
 bool write_bench_summary(const std::string& path, const SweepReport& parallel,
-                         const SweepReport& baseline) {
+                         const std::vector<double>& parallel_walls,
+                         const std::vector<double>& baseline_walls) {
   std::ofstream os(path);
   if (!os) return false;
+  std::vector<double> speedups;
+  for (std::size_t i = 0; i < parallel_walls.size(); ++i) {
+    speedups.push_back(parallel_walls[i] > 0 ? baseline_walls[i] / parallel_walls[i] : 0);
+  }
+  const double wall = median_of(parallel_walls);
+  const double base_wall = median_of(baseline_walls);
   const double pts = double(parallel.points.size());
-  const double par_pps = parallel.wall_s > 0 ? pts / parallel.wall_s : 0;
-  const double base_pps = baseline.wall_s > 0 ? pts / baseline.wall_s : 0;
-  const double speedup =
-      parallel.wall_s > 0 ? baseline.wall_s / parallel.wall_s : 0;
-  char buf[512];
+  const double par_pps = wall > 0 ? pts / wall : 0;
+  const double base_pps = base_wall > 0 ? pts / base_wall : 0;
+  char buf[768];
   std::snprintf(buf, sizeof buf,
                 "{\n"
                 "  \"scenario\": \"%s\",\n"
                 "  \"points\": %zu,\n"
                 "  \"jobs\": %d,\n"
                 "  \"hardware_threads\": %u,\n"
+                "  \"repetitions\": %zu,\n"
                 "  \"wall_s\": %.3f,\n"
                 "  \"points_per_sec\": %.3f,\n"
                 "  \"baseline_jobs\": 1,\n"
                 "  \"baseline_wall_s\": %.3f,\n"
                 "  \"baseline_points_per_sec\": %.3f,\n"
-                "  \"speedup\": %.2f,\n",
+                "  \"speedup\": %.2f,\n"
+                "  \"speedup_min\": %.2f,\n"
+                "  \"speedup_max\": %.2f,\n",
                 parallel.scenario.c_str(), parallel.points.size(), parallel.jobs,
-                std::thread::hardware_concurrency(), parallel.wall_s, par_pps,
-                baseline.wall_s, base_pps, speedup);
+                std::thread::hardware_concurrency(), speedups.size(), wall, par_pps,
+                base_wall, base_pps, median_of(speedups),
+                *std::min_element(speedups.begin(), speedups.end()),
+                *std::max_element(speedups.begin(), speedups.end()));
   os << buf;
   os << "  \"perf_total\": " << parallel.perf_total().to_json() << ",\n"
      << "  \"env\": " << mpcc::obs::bench_env_json() << "\n}\n";
@@ -424,22 +448,36 @@ int main(int argc, char** argv) {
 
     const std::string bench_path = arg_string(argc, argv, "--bench", "");
     if (!bench_path.empty()) {
-      std::fprintf(stderr, "bench: re-running with --jobs=1 for the baseline\n");
-      SweepOptions base_options = options;
+      std::fprintf(stderr,
+                   "bench: alternating jobs=%d and jobs=1 over %d repetitions\n",
+                   report.jobs, kBenchReps);
+      SweepOptions par_options = options;
+      par_options.progress = false;
+      par_options.out_dir.clear();  // don't overwrite per-run artifacts
+      par_options.trace_mask = 0;
+      par_options.per_run_metrics = false;
+      SweepOptions base_options = par_options;
       base_options.jobs = 1;
-      base_options.progress = false;
-      base_options.out_dir.clear();  // don't overwrite per-run artifacts
-      base_options.trace_mask = 0;
-      base_options.per_run_metrics = false;
-      const SweepReport baseline = run_sweep(plan, base_options);
-      if (!write_bench_summary(bench_path, report, baseline)) {
+      // The run above warms up caches and lazy registries; the timed pairs
+      // follow it in alternating order: P B, B P, P B.
+      std::vector<double> par_walls;
+      std::vector<double> base_walls;
+      for (int rep = 0; rep < kBenchReps; ++rep) {
+        const bool parallel_first = rep % 2 == 0;
+        if (parallel_first) par_walls.push_back(run_sweep(plan, par_options).wall_s);
+        base_walls.push_back(run_sweep(plan, base_options).wall_s);
+        if (!parallel_first) par_walls.push_back(run_sweep(plan, par_options).wall_s);
+      }
+      if (!write_bench_summary(bench_path, report, par_walls, base_walls)) {
         std::fprintf(stderr, "cannot write %s\n", bench_path.c_str());
         return 1;
       }
-      std::printf("bench: %zu points, jobs=%d %.2fs vs jobs=1 %.2fs (%.2fx)\n",
-                  report.points.size(), report.jobs, report.wall_s,
-                  baseline.wall_s,
-                  report.wall_s > 0 ? baseline.wall_s / report.wall_s : 0.0);
+      for (int rep = 0; rep < kBenchReps; ++rep) {
+        std::printf("bench: rep %d: %zu points, jobs=%d %.2fs vs jobs=1 %.2fs (%.2fx)\n",
+                    rep + 1, report.points.size(), report.jobs, par_walls[rep],
+                    base_walls[rep],
+                    par_walls[rep] > 0 ? base_walls[rep] / par_walls[rep] : 0.0);
+      }
     }
 
     report.table().print(std::cout);
