@@ -8,16 +8,22 @@ namespace mpcc::chaos {
 
 void IntervalSet::add(std::int64_t begin, std::int64_t end) {
   if (end <= begin) return;
-  // Absorb every run overlapping or touching [begin, end), then insert the
-  // merged result. lower_bound on `begin` may miss a run starting earlier
-  // that still covers begin — step back once to check.
-  auto it = runs_.lower_bound(begin);
-  if (it != runs_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= begin) it = prev;
+  auto it = runs_.upper_bound(begin);  // first run starting after begin
+  if (it != runs_.begin() && std::prev(it)->second >= begin) {
+    // A run starting at or before begin touches the range (the in-order
+    // case): grow it in place and absorb the runs it now reaches, so the
+    // common path never reallocates a node.
+    auto run = std::prev(it);
+    run->second = std::max(run->second, end);
+    while (it != runs_.end() && it->first <= run->second) {
+      run->second = std::max(run->second, it->second);
+      it = runs_.erase(it);
+    }
+    return;
   }
+  // Disjoint from everything before it: absorb the runs the range reaches,
+  // then insert the merged result.
   while (it != runs_.end() && it->first <= end) {
-    begin = std::min(begin, it->first);
     end = std::max(end, it->second);
     it = runs_.erase(it);
   }

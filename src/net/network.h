@@ -60,6 +60,9 @@ class Network {
   const EventList& events() const { return ctx_->events(); }
   SimTime now() const { return ctx_->now(); }
   Rng& rng() { return ctx_->rng(); }
+  /// The run's packet pool: make_data_packet/make_ack_packet allocate from
+  /// it, and whoever holds a packet last releases it there.
+  PacketPool& packets() { return ctx_->packets(); }
 
   /// Creates and owns an arbitrary component, forwarding constructor args.
   /// Type-erased shared_ptr<void> keeps heterogeneous ownership in one

@@ -1,17 +1,22 @@
 // Packet: the unit that flows through queues and pipes.
 //
-// Packets are value types moved hop-to-hop (no shared ownership, no pool):
-// a hop either forwards the packet or drops it on the floor, so lifetime is
-// trivially correct. A packet carries its source route (htsim-style) as a
-// hop cursor: a pointer into the route's contiguous hop array, aimed at the
-// hop that receives the packet next. Forwarding is one load and one
-// increment, with no Route object or index in between. The layout is kept
-// to one 64-byte cache line (static_assert below), so a packet moved
-// through a queue ring or a pipe's in-flight ring touches one line.
+// Packets live in the run's PacketPool (sim/pool.h) and travel by pointer:
+// make_data_packet/make_ack_packet take a slot, and each hop hands the
+// Packet* on. Exactly one component owns a packet at a time. It forwards
+// it, holds it (a queue's FIFO, a pipe's in-flight ring), or releases it
+// to the pool (every drop, and every endpoint once it has read the
+// packet); see net/route.h. A packet carries its source route
+// (htsim-style) as a hop cursor: a pointer into the route's contiguous hop
+// array, aimed at the hop that receives the packet next. Forwarding is one
+// load and one increment, with no Route object or index in between. The
+// layout is one 64-byte cache line, the pool's slot size (static_assert
+// below), so a hop that reads a packet touches one line.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
+#include "sim/pool.h"
 #include "util/units.h"
 
 namespace mpcc {
@@ -66,14 +71,32 @@ struct Packet {
   Bytes wire_size() const { return payload + kHeaderBytes; }
 };
 
-static_assert(sizeof(Packet) == 64, "Packet must stay one cache line");
+static_assert(sizeof(Packet) == PacketPool::kSlotBytes,
+              "Packet must stay one cache line: one pool slot");
+static_assert(std::is_trivially_destructible_v<Packet>,
+              "releasing a packet frees its slot without running a destructor");
 
-/// Creates a data segment for `flow`; Route::inject aims it at a route.
-Packet make_data_packet(std::uint64_t flow_id, std::int64_t seq, Bytes payload,
-                        SimTime now);
+/// Creates a data segment for `flow` in `pool`; Route::inject aims it at a
+/// route.
+Packet* make_data_packet(PacketPool& pool, std::uint64_t flow_id, std::int64_t seq,
+                         Bytes payload, SimTime now);
 
 /// Creates the ACK acknowledging through `cum_ack`, echoing `ts`.
-Packet make_ack_packet(std::uint64_t flow_id, std::int64_t cum_ack, SimTime now,
-                       SimTime ts_echo);
+Packet* make_ack_packet(PacketPool& pool, std::uint64_t flow_id, std::int64_t cum_ack,
+                        SimTime now, SimTime ts_echo);
+
+/// Copies `pkt` into a fresh slot (a duplicated frame), hop cursor included.
+inline Packet* clone_packet(PacketPool& pool, const Packet& pkt) {
+  return new (pool.allocate()) Packet(pkt);
+}
+
+/// Releases an endpoint's packet when the endpoint is done reading it,
+/// early returns and exceptions included:
+///   const PacketRelease done{pool, pkt};
+struct PacketRelease {
+  PacketPool& pool;
+  Packet* pkt;
+  ~PacketRelease() { pool.deallocate(pkt); }
+};
 
 }  // namespace mpcc

@@ -36,22 +36,25 @@ void Pipe::set_delay(SimTime delay) {
   delay_ = delay;
 }
 
-void Pipe::receive(Packet&& pkt) {
+void Pipe::receive(Packet* pkt) {
   if (down_) {
     ++down_drops_;
     ++perf_drops_;
+    release(pkt);
     return;
   }
   SimTime extra = 0;
-  if (!on_ingress(pkt, extra)) {  // dropped (lossy subclass)
+  if (!on_ingress(*pkt, extra)) {  // dropped (lossy subclass)
     ++perf_drops_;
+    release(pkt);
     return;
   }
   FaultVerdict verdict = FaultVerdict::kPass;
   if (fault_hook_ != nullptr) [[unlikely]] {
-    verdict = fault_hook_->on_packet(pkt);
+    verdict = fault_hook_->on_packet(*pkt);
     if (verdict == FaultVerdict::kDrop) {
       ++perf_drops_;
+      release(pkt);
       return;
     }
   }
@@ -59,18 +62,19 @@ void Pipe::receive(Packet&& pkt) {
   SimTime deliver_at = events_.now() + delay_ + extra;
   if (deliver_at < last_delivery_) deliver_at = last_delivery_;
   last_delivery_ = deliver_at;
-  PacketHandler* const next = Route::next_hop(pkt);
+  PacketHandler* const next = Route::next_hop(*pkt);
   if (verdict == FaultVerdict::kDuplicate) {
     ++accepted_;
-    in_flight_.push_back(InFlight{deliver_at, next, pkt});  // the twin rides first
+    // The twin rides first, in its own slot.
+    in_flight_.push_back(InFlight{deliver_at, next, clone_packet(events_.packets(), *pkt)});
   }
   ++accepted_;
-  in_flight_.push_back(InFlight{deliver_at, next, std::move(pkt)});
+  in_flight_.push_back(InFlight{deliver_at, next, pkt});
   if (verdict == FaultVerdict::kReorder && in_flight_.size() >= 2) {
-    // Swap packet contents (and with them their next hops: the predecessor
-    // may belong to another route) with the predecessor. The delivery
-    // schedule — and with it the monotone clamp and the conservation
-    // ledger — is untouched, but the bytes leave the pipe out of send order.
+    // Swap the packet (and with it its next hop: the predecessor may belong
+    // to another route) with the predecessor. The delivery schedule — and
+    // with it the monotone clamp and the conservation ledger — is
+    // untouched, but the bytes leave the pipe out of send order.
     InFlight& last = in_flight_[in_flight_.size() - 1];
     InFlight& prev = in_flight_[in_flight_.size() - 2];
     std::swap(last.pkt, prev.pkt);
@@ -91,11 +95,10 @@ void Pipe::do_next_event() {
   // Deliver everything due now (simultaneous arrivals collapse into one
   // event when they share a timestamp).
   while (!in_flight_.empty() && in_flight_.front().deliver_at <= events_.now()) {
-    PacketHandler* const next = in_flight_.front().next;
-    Packet pkt = std::move(in_flight_.front().pkt);
+    const InFlight due = in_flight_.front();
     in_flight_.pop_front();
     ++forwarded_;
-    next->receive(std::move(pkt));
+    due.next->receive(due.pkt);
   }
   if (!in_flight_.empty()) {
     event_pending_ = true;
@@ -116,6 +119,7 @@ std::size_t Pipe::drop_in_flight() {
   down_drops_ += dropped;
   flight_drops_ += dropped;
   perf_drops_ += dropped;
+  for (std::size_t i = 0; i < dropped; ++i) release(in_flight_[i].pkt);
   in_flight_.clear();
   return dropped;
 }

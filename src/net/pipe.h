@@ -11,12 +11,18 @@
 // down, which drops arrivals at ingress and optionally flushes the packets
 // already in flight (a radio that loses association loses its airframes).
 //
+// The pipe holds pooled packet handles (net/packet.h). Every drop — down at
+// ingress, lossy-subclass loss, a fault kDrop, drop_in_flight — releases
+// the packet to the run's PacketPool; a fault kDuplicate clones the packet
+// into a fresh slot.
+//
 // Cache layout of the hot path: at ingress the pipe reads its packet's next
 // hop from the route's hop array (net/route.h) — the line the previous hop
-// just read — and stores the handler beside the packet in the in-flight
-// ring. Delivery then calls that handler directly, without touching the
-// route. The ring front doubles as the pipe's EventSource prefetch hint, so
-// the event loop pulls it into cache one dispatch ahead.
+// just read — and stores the handler beside the packet pointer in the
+// in-flight ring, 24 bytes a slot. Delivery then calls that handler
+// directly, without touching the route. The ring front doubles as the
+// pipe's EventSource prefetch hint, so the event loop pulls it into cache
+// one dispatch ahead.
 #pragma once
 
 #include "net/route.h"
@@ -48,7 +54,7 @@ class Pipe : public PacketHandler, public EventSource, public PerfFlushable {
   Pipe(EventList& events, std::string name, SimTime delay);
   ~Pipe() override;
 
-  void receive(Packet&& pkt) override;
+  void receive(Packet* pkt) override;
   void do_next_event() override;
   /// Batched perf-ledger update: adds the drop delta since the last flush
   /// (driven per run_until/run_all by the EventList). Pipes contribute only
@@ -100,8 +106,11 @@ class Pipe : public PacketHandler, public EventSource, public PerfFlushable {
   struct InFlight {
     SimTime deliver_at;
     PacketHandler* next;  // pkt's next hop, read at ingress
-    Packet pkt;
+    Packet* pkt;
   };
+  static_assert(sizeof(InFlight) == 24);
+
+  void release(Packet* pkt) { events_.packets().deallocate(pkt); }
 
   SimTime delay_;
   RingBuffer<InFlight> in_flight_;

@@ -47,19 +47,21 @@ void Queue::set_down(bool down) {
   if (!down) return;
   // Flush everything waiting behind the (doomed) packet in service.
   for (std::size_t i = 0; i < fifo_.size(); ++i) {
-    const Packet& pkt = fifo_[i];
-    queued_bytes_ -= pkt.wire_size();
-    bytes_down_dropped_ += pkt.wire_size();
+    Packet* pkt = fifo_[i];
+    queued_bytes_ -= pkt->wire_size();
+    bytes_down_dropped_ += pkt->wire_size();
     ++down_drops_;
+    release(pkt);
   }
   fifo_.clear();
 }
 
-void Queue::receive(Packet&& pkt) {
+void Queue::receive(Packet* pkt) {
   // Drops and enqueues feed the perf ledger in batches (flush_perf), not
   // per packet: the member counters below already carry the totals.
   if (down_) {
     ++down_drops_;
+    release(pkt);
     return;
   }
   if (bg_drop_every_ > 0 && ++bg_drop_counter_ >= bg_drop_every_) {
@@ -69,35 +71,38 @@ void Queue::receive(Packet&& pkt) {
     ++drops_;
     MPCC_TRACE(obs::TraceCategory::kQueue, obs::TraceEvent::kDrop, trace_src_,
                events_.now(), static_cast<double>(queued_bytes_), 0,
-               static_cast<std::int64_t>(pkt.flow_id), pkt.seq);
+               static_cast<std::int64_t>(pkt->flow_id), pkt->seq);
+    release(pkt);
     return;
   }
-  const bool over_bytes = queued_bytes_ + pkt.wire_size() > capacity_bytes_;
+  const bool over_bytes = queued_bytes_ + pkt->wire_size() > capacity_bytes_;
   const bool over_packets =
       capacity_packets_ != 0 && queued_packets() + 1 > capacity_packets_;
   if (over_bytes || over_packets) {
     ++drops_;
-    MPCC_DEBUG << name() << " drop flow=" << pkt.flow_id << " seq=" << pkt.seq;
+    MPCC_DEBUG << name() << " drop flow=" << pkt->flow_id << " seq=" << pkt->seq;
     MPCC_TRACE(obs::TraceCategory::kQueue, obs::TraceEvent::kDrop, trace_src_,
                events_.now(), static_cast<double>(queued_bytes_), 0,
-               static_cast<std::int64_t>(pkt.flow_id), pkt.seq);
+               static_cast<std::int64_t>(pkt->flow_id), pkt->seq);
     if (drops_metric_ == nullptr) {
       drops_metric_ = &obs::metrics().counter("net.queue.drops");
     }
     drops_metric_->inc();
+    release(pkt);
     return;  // tail drop
   }
-  if (!on_enqueue(pkt)) {
+  if (!on_enqueue(*pkt)) {
     ++drops_;
+    release(pkt);
     return;
   }
-  queued_bytes_ += pkt.wire_size();
-  bytes_accepted_ += pkt.wire_size();
+  queued_bytes_ += pkt->wire_size();
+  bytes_accepted_ += pkt->wire_size();
   if (obs::Tracer& tr = obs::tracer(); tr.enabled(obs::TraceCategory::kQueue)) [[unlikely]] {
     tr.record(obs::TraceCategory::kQueue, obs::TraceEvent::kEnqueue,
               trace_src_, events_.now(),
               static_cast<double>(queued_bytes_), 0,
-              static_cast<std::int64_t>(pkt.flow_id), pkt.seq);
+              static_cast<std::int64_t>(pkt->flow_id), pkt->seq);
     // Hot-path histogram rides the queue trace bit: free when tracing is off.
     if (occupancy_metric_ == nullptr) {
       occupancy_metric_ = &obs::metrics().histogram(
@@ -106,10 +111,10 @@ void Queue::receive(Packet&& pkt) {
     }
     occupancy_metric_->record(static_cast<double>(queued_bytes_));
   }
-  if (!busy_) {
-    start_service(std::move(pkt));
+  if (!busy()) {
+    start_service(pkt);
   } else {
-    fifo_.push_back(std::move(pkt));
+    fifo_.push_back(pkt);
   }
   // Post-enqueue depth in packets (service slot included), sampled 1-in-32
   // on this queue's accept count — both the sample set and the depths are
@@ -119,34 +124,34 @@ void Queue::receive(Packet&& pkt) {
   }
 }
 
-void Queue::start_service(Packet&& pkt) {
-  busy_ = true;
+void Queue::start_service(Packet* pkt) {
+  in_service_ = pkt;
   service_started_ = events_.now();
-  in_service_ = std::move(pkt);
-  events_.schedule_in(this, service_time(in_service_.wire_size()));
-  set_prefetch_hint(in_service_.hop);
+  events_.schedule_in(this, service_time(pkt->wire_size()));
+  set_prefetch_hint(pkt);
 }
 
 void Queue::do_next_event() {
-  MPCC_CHECK(busy_, "net.queue.service");
+  MPCC_CHECK(busy(), "net.queue.service");
+  Packet* const done = in_service_;
   // Start loading the next hop's object (vptr line and first member line)
   // now, so the bookkeeping below overlaps the miss that forwarding would
-  // otherwise stall on. The hop entry itself is this queue's prefetch hint.
+  // otherwise stall on. The packet itself is this queue's prefetch hint.
   {
-    const auto next = reinterpret_cast<std::uintptr_t>(*in_service_.hop);
+    const auto next = reinterpret_cast<std::uintptr_t>(*done->hop);
     __builtin_prefetch(reinterpret_cast<const void*>(next));
     __builtin_prefetch(reinterpret_cast<const void*>(next + 64));
   }
   busy_time_ += events_.now() - service_started_;
-  queued_bytes_ -= in_service_.wire_size();
+  queued_bytes_ -= done->wire_size();
   // A link that went down mid-serialisation loses the frame on the wire.
   const bool deliver = !down_;
   if (deliver) {
     ++forwarded_;
-    bytes_forwarded_ += in_service_.wire_size();
+    bytes_forwarded_ += done->wire_size();
   } else {
     ++down_drops_;
-    bytes_down_dropped_ += in_service_.wire_size();
+    bytes_down_dropped_ += done->wire_size();
   }
   // Eq.-style byte conservation: accepted = forwarded + down-dropped +
   // still queued. Catches double-counted wire sizes and negative occupancy
@@ -157,25 +162,23 @@ void Queue::do_next_event() {
       "net.queue.conservation",
       name() << ": accepted=" << bytes_accepted_ << " forwarded=" << bytes_forwarded_
              << " down_dropped=" << bytes_down_dropped_ << " queued=" << queued_bytes_);
-  Packet done = std::move(in_service_);
   if (!fifo_.empty()) {
-    // Next packet moves straight from the ring into the service slot
-    // (start_service would cost an extra Packet move; busy_ is already set).
-    service_started_ = events_.now();
-    in_service_ = std::move(fifo_.front());
+    start_service(fifo_.front());
     fifo_.pop_front();
-    events_.schedule_in(this, service_time(in_service_.wire_size()));
-    set_prefetch_hint(in_service_.hop);
   } else {
-    busy_ = false;
+    in_service_ = nullptr;
   }
-  if (deliver) Route::forward(std::move(done));
+  if (deliver) {
+    Route::forward(done);
+  } else {
+    release(done);
+  }
 }
 
 double Queue::utilization(SimTime now) const {
-  SimTime busy = busy_time_;
-  if (busy_) busy += now - service_started_;
-  return now > 0 ? static_cast<double>(busy) / static_cast<double>(now) : 0.0;
+  SimTime busy_for = busy_time_;
+  if (busy()) busy_for += now - service_started_;
+  return now > 0 ? static_cast<double>(busy_for) / static_cast<double>(now) : 0.0;
 }
 
 }  // namespace mpcc

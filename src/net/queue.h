@@ -6,8 +6,13 @@
 // expressed in bytes or packets (the paper's ns-2 wireless setup uses a
 // 50-*packet* DropTail queue).
 //
+// The queue holds pooled packet handles (net/packet.h): the FIFO is a ring
+// of Packet*, and the packet on the wire is one more pointer. Every drop —
+// tail drop, background drop, an on_enqueue refusal, a down flush, a frame
+// lost mid-serialisation — releases the packet to the run's PacketPool.
+//
 // A service completion forwards the packet on the wire to the hop under its
-// hop cursor (net/route.h). That hop-array entry is the queue's EventSource
+// hop cursor (net/route.h). The packet's line is the queue's EventSource
 // prefetch hint, so the event loop pulls it into cache one dispatch ahead
 // instead of the completion stalling on it; the completion in turn starts
 // loading the next hop's object before its own bookkeeping.
@@ -32,7 +37,7 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
         std::size_t capacity_packets = 0);
   ~Queue() override;
 
-  void receive(Packet&& pkt) override;
+  void receive(Packet* pkt) override;
   void do_next_event() override;
   /// Batched perf-ledger update: adds the enqueue/forward/drop deltas since
   /// the last flush (driven per run_until/run_all by the EventList).
@@ -40,7 +45,7 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
 
   Rate rate() const { return rate_; }
   Bytes queued_bytes() const { return queued_bytes_; }
-  std::size_t queued_packets() const { return fifo_.size() + (busy_ ? 1 : 0); }
+  std::size_t queued_packets() const { return fifo_.size() + (busy() ? 1 : 0); }
   Bytes capacity_bytes() const { return capacity_bytes_; }
 
   /// Changes the serialisation rate for packets whose service starts from
@@ -97,7 +102,9 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
   obs::PerfCounters* perf_ctrs_ = nullptr;
 
  private:
-  void start_service(Packet&& pkt);
+  bool busy() const { return in_service_ != nullptr; }
+  void start_service(Packet* pkt);
+  void release(Packet* pkt) { events_.packets().deallocate(pkt); }
 
   /// transmission_time(size, rate_) with a one-entry memo. Traffic is
   /// dominated by a single MSS (plus a single ACK size on reverse paths),
@@ -115,11 +122,10 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
   Bytes capacity_bytes_;
   std::size_t capacity_packets_;
 
-  RingBuffer<Packet> fifo_;
+  RingBuffer<Packet*> fifo_;
   Bytes queued_bytes_ = 0;  // includes the packet in service
-  bool busy_ = false;
+  Packet* in_service_ = nullptr;  // the packet on the wire; null when idle
   bool down_ = false;
-  Packet in_service_;
 
   std::uint32_t bg_drop_every_ = 0;    // 0 = no background loss pressure
   std::uint32_t bg_drop_counter_ = 0;  // arrivals since the last forced drop

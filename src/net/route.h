@@ -11,6 +11,11 @@
 // ingress, while that line is hot, and keep it beside the packet
 // (net/pipe.h).
 //
+// Packets move as pooled Packet* handles (net/packet.h). receive() hands
+// the handler ownership: it forwards the packet, holds it, or releases it
+// to the run's PacketPool. Nothing else may keep the pointer, since a
+// released slot is reused by the next packet the run creates.
+//
 // Routes are owned by the Network and stable while any packet points into
 // them, so raw cursors on packets are safe. The one sanctioned mutation
 // after wiring is MptcpConnection::rebind_paths, which rewrites a drained
@@ -30,8 +35,9 @@ namespace mpcc {
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;
-  /// Takes ownership of the packet: the handler forwards it or drops it.
-  virtual void receive(Packet&& pkt) = 0;
+  /// Takes ownership of `pkt`: the handler forwards it, holds it, or
+  /// releases it to the run's PacketPool.
+  virtual void receive(Packet* pkt) = 0;
 };
 
 class Route {
@@ -72,16 +78,13 @@ class Route {
   }
 
   /// Delivers `pkt` to its next hop, advancing the hop cursor.
-  static void forward(Packet&& pkt) {
-    PacketHandler* next = next_hop(pkt);
-    next->receive(std::move(pkt));
-  }
+  static void forward(Packet* pkt) { next_hop(*pkt)->receive(pkt); }
 
   /// Injects `pkt` at the first hop of this route.
-  void inject(Packet&& pkt) const {
+  void inject(Packet* pkt) const {
     assert(!empty());
-    pkt.hop = hops_.data();
-    forward(std::move(pkt));
+    pkt->hop = hops_.data();
+    forward(pkt);
   }
 
  private:

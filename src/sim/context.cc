@@ -9,7 +9,9 @@ thread_local SimContext* t_current_context = nullptr;
 }  // namespace
 
 SimContext::SimContext(const Options& options)
-    : seed_(options.seed), rng_(options.seed), profile_sim_(options.profile_sim) {
+    : seed_(options.seed),
+      events_(&packets_),
+      rng_(options.seed), profile_sim_(options.profile_sim) {
   if (options.isolate_obs) {
     owned_tracer_ = std::make_unique<obs::Tracer>();
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();

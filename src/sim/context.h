@@ -77,6 +77,11 @@ class SimContext {
   /// outlive their context (Network guarantees this by declaring its owned
   /// context before its components).
   PoolArena& pool() { return pool_; }
+  /// Per-run packet pool (sim/pool.h): every packet of the run lives in
+  /// one of its slots. Reached through events().packets() or
+  /// Network::packets(); never shared with another context, nested ones
+  /// (the chaos twin) included.
+  PacketPool& packets() { return packets_; }
   /// True when this context owns its observability instances (isolate_obs).
   bool owns_obs() const { return owned_tracer_ != nullptr; }
   bool profile_sim() const { return profile_sim_; }
@@ -110,9 +115,10 @@ class SimContext {
 
  private:
   std::uint64_t seed_;
-  // The arena precedes (and therefore outlives) everything else in the
-  // context, since any member could in principle hold pooled nodes.
+  // The pools precede (and therefore outlive) everything else in the
+  // context, since any member could in principle hold pooled memory.
   PoolArena pool_;
+  PacketPool packets_;
   EventList events_;
   Rng rng_;
   std::unique_ptr<obs::Tracer> owned_tracer_;

@@ -11,7 +11,8 @@
 
 namespace mpcc {
 
-EventList::EventList() : buckets_(kNumBuckets, kNilSlot) {}
+EventList::EventList(PacketPool* packets)
+    : buckets_(kNumBuckets, kNilSlot), packets_(packets) {}
 
 EventList::~EventList() { flush_profile(obs::metrics()); }
 
@@ -107,7 +108,7 @@ void EventList::insert_entry(const Entry& e) {
     ++overflow_inserts_;
     slots_[e.slot].in_overflow = true;
     overflow_.push_back(e);
-    std::push_heap(overflow_.begin(), overflow_.end(), entry_greater);
+    std::push_heap(overflow_.begin(), overflow_.end(), EntryGreater{});
     return;
   }
   slots_[e.slot].in_overflow = false;
@@ -122,7 +123,7 @@ void EventList::insert_entry(const Entry& e) {
   } else if (tick == cur_tick_) {
     // The tick being drained: keep the staging vector sorted (descending)
     // so the in-order pop from the back stays exact.
-    cur_.insert(std::upper_bound(cur_.begin(), cur_.end(), e, entry_greater), e);
+    cur_.insert(std::upper_bound(cur_.begin(), cur_.end(), e, EntryGreater{}), e);
     return;
   }
   // Thread the entry onto its bucket's intrusive chain (LIFO; order within
@@ -162,7 +163,7 @@ const EventList::Entry* EventList::find_live_min() {
   while (!overflow_.empty() && !slots_[overflow_.front().slot].live) {
     release_slot(overflow_.front().slot);
     --overflow_dead_;
-    std::pop_heap(overflow_.begin(), overflow_.end(), entry_greater);
+    std::pop_heap(overflow_.begin(), overflow_.end(), EntryGreater{});
     overflow_.pop_back();
   }
   while (!cur_.empty() && !slots_[cur_.back().slot].live) {
@@ -217,7 +218,7 @@ const EventList::Entry* EventList::find_live_min() {
       cur_tick_ = scan_tick_;
       ++scan_tick_;
       if (!cur_.empty()) {
-        if (cur_.size() > 1) std::sort(cur_.begin(), cur_.end(), entry_greater);
+        if (cur_.size() > 1) std::sort(cur_.begin(), cur_.end(), EntryGreater{});
         break;
       }
       // Whole bucket was cancelled: keep scanning.
@@ -239,7 +240,7 @@ void EventList::pop_found_min(const Entry* e) {
     cur_.pop_back();
     return;
   }
-  std::pop_heap(overflow_.begin(), overflow_.end(), entry_greater);
+  std::pop_heap(overflow_.begin(), overflow_.end(), EntryGreater{});
   overflow_.pop_back();
 }
 
@@ -329,7 +330,7 @@ void EventList::compact_overflow() {
     }
   }
   overflow_.resize(w);
-  std::make_heap(overflow_.begin(), overflow_.end(), entry_greater);
+  std::make_heap(overflow_.begin(), overflow_.end(), EntryGreater{});
   overflow_dead_ = 0;
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -40,6 +41,8 @@ class Histogram;
 class MetricsRegistry;
 struct PerfCounters;
 }  // namespace obs
+
+class PacketPool;
 
 /// Identifies one pending scheduled event, for cancellation. Packs
 /// (slot generation << 32 | slot index + 1); opaque to callers.
@@ -59,9 +62,18 @@ class PerfFlushable {
 
 class EventList {
  public:
-  EventList();
+  /// `packets` is the run's packet pool, owned by the SimContext that owns
+  /// this list. A bare EventList (sim-only tests and benches) has none.
+  explicit EventList(PacketPool* packets = nullptr);
   /// Flushes any collected self-profiling data into the metrics registry.
   ~EventList();
+
+  /// The run's packet pool, for the queues and pipes scheduled on this
+  /// list. Only a SimContext's list has one.
+  PacketPool& packets() {
+    assert(packets_ != nullptr && "EventList has no packet pool");
+    return *packets_;
+  }
 
   /// Current simulated time. Starts at 0.
   SimTime now() const { return now_; }
@@ -157,7 +169,11 @@ class EventList {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  static bool entry_greater(const Entry& a, const Entry& b) { return entry_less(b, a); }
+  /// entry_less reversed, as a function object rather than a function
+  /// pointer, so std::sort/upper_bound and the heap algorithms inline it.
+  struct EntryGreater {
+    bool operator()(const Entry& a, const Entry& b) const { return entry_less(b, a); }
+  };
 
   /// One pending event's home: cancellation state (gen/live) plus the event
   /// payload and an intrusive chain link. Wheel buckets are singly linked
@@ -292,6 +308,7 @@ class EventList {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 
+  PacketPool* packets_;
   std::vector<PerfFlushable*> flushables_;
   std::unordered_map<EventSource*, ProfileEntry> prof_;
 };

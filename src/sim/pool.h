@@ -1,4 +1,5 @@
 // PoolArena: a per-SimContext size-class free-list allocator.
+// PacketPool: a per-SimContext pool of cache-line packet slots.
 //
 // The TCP/MPTCP send paths keep per-segment bookkeeping in node-based
 // containers (out-of-order reassembly maps, the MPTCP outstanding-chunk
@@ -17,6 +18,12 @@
 //     freed only by the arena destructor. This is the right trade for
 //     bounded-footprint simulation runs.
 //   - Requests larger than kMaxPooled bytes fall through to operator new.
+//
+// PacketPool follows the same rules for the packets in flight through the
+// net layer (net/packet.h): every slot is one 64-byte, 64-byte-aligned
+// line, carved from one-page slabs and recycled LIFO, so a new packet
+// usually lands on a line a packet just left. Ownership of a slot is
+// explicit: whoever holds the Packet* frees it (net/route.h).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +31,15 @@
 #include <memory>
 #include <new>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define MPCC_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define MPCC_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define MPCC_POOL_POISON(p, n) ((void)(p), (void)(n))
+#define MPCC_POOL_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace mpcc {
 
@@ -112,6 +128,71 @@ class PoolArena {
   std::uint64_t reused_ = 0;
   std::uint64_t frees_ = 0;
   std::size_t block_bytes_ = 0;
+};
+
+/// Fixed-size slot pool for packets: 64-byte slots, 64-byte aligned, so a
+/// packet is exactly one cache line. Slots come from one-page slabs (a
+/// short run touches one page, not a large arena) and go back on a LIFO
+/// free list. Slabs are freed only with the pool. Under AddressSanitizer a
+/// free slot is poisoned, so a use after release is reported.
+class PacketPool {
+ public:
+  static constexpr std::size_t kSlotBytes = 64;
+  static constexpr std::size_t kSlabBytes = 4096;
+  static_assert(kSlabBytes % kSlotBytes == 0);
+
+  PacketPool() = default;
+  ~PacketPool() {
+    for (void* slab : slabs_) {
+      MPCC_POOL_UNPOISON(slab, kSlabBytes);
+      ::operator delete(slab, std::align_val_t{kSlotBytes});
+    }
+  }
+
+  PacketPool(const PacketPool&) = delete;
+  PacketPool& operator=(const PacketPool&) = delete;
+
+  /// One uninitialised slot of kSlotBytes.
+  void* allocate() {
+    ++outstanding_;
+    if (FreeSlot* slot = free_) {
+      MPCC_POOL_UNPOISON(slot, kSlotBytes);
+      free_ = slot->next;
+      return slot;
+    }
+    if (bump_left_ == 0) {
+      bump_ = static_cast<char*>(::operator new(kSlabBytes, std::align_val_t{kSlotBytes}));
+      slabs_.push_back(bump_);
+      bump_left_ = kSlabBytes;
+    }
+    void* p = bump_;
+    bump_ += kSlotBytes;
+    bump_left_ -= kSlotBytes;
+    return p;
+  }
+
+  /// Returns a slot from allocate() to the free list.
+  void deallocate(void* p) {
+    --outstanding_;
+    FreeSlot* slot = static_cast<FreeSlot*>(p);
+    slot->next = free_;
+    free_ = slot;
+    MPCC_POOL_POISON(slot, kSlotBytes);
+  }
+
+  /// Slots currently handed out (allocated and not yet freed).
+  std::uint64_t outstanding() const { return outstanding_; }
+
+ private:
+  struct FreeSlot {
+    FreeSlot* next;
+  };
+
+  std::vector<void*> slabs_;
+  FreeSlot* free_ = nullptr;
+  char* bump_ = nullptr;
+  std::size_t bump_left_ = 0;
+  std::uint64_t outstanding_ = 0;
 };
 
 /// std-compatible allocator view over a PoolArena, for node containers

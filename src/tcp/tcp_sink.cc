@@ -25,13 +25,15 @@ void TcpSink::enable_delayed_acks(SimTime timeout) {
 }
 
 void TcpSink::send_ack(SimTime ts_echo, bool ecn_ce, bool ecn_capable) {
-  Packet ack = make_ack_packet(last_flow_id_, cum_ack_, net_.now(), ts_echo);
-  ack.ecn_echo = ecn_ce;
-  ack.ecn_capable = ecn_capable;
-  reverse_route_->inject(std::move(ack));
+  Packet* ack = make_ack_packet(net_.packets(), last_flow_id_, cum_ack_, net_.now(), ts_echo);
+  ack->ecn_echo = ecn_ce;
+  ack->ecn_capable = ecn_capable;
+  reverse_route_->inject(ack);
 }
 
-void TcpSink::receive(Packet&& pkt) {
+void TcpSink::receive(Packet* p) {
+  const PacketRelease done{net_.packets(), p};
+  const Packet& pkt = *p;
   assert(pkt.type == PacketType::kData);
   if (pkt.corrupted) {
     // Checksum failure: discard without acknowledging, so recovery rides

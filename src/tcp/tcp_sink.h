@@ -43,7 +43,7 @@ class TcpSink final : public PacketHandler {
   /// `reverse_route` carries the ACKs back to the source.
   TcpSink(Network& net, std::string name, const Route* reverse_route);
 
-  void receive(Packet&& pkt) override;
+  void receive(Packet* pkt) override;
 
   void set_consumer(DataConsumer* consumer) { consumer_ = consumer; }
   DataConsumer* consumer() const { return consumer_; }

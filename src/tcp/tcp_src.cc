@@ -182,16 +182,16 @@ void TcpSrc::send_available() {
 }
 
 void TcpSrc::send_segment(std::int64_t seq, const SegmentMeta& meta, bool retransmit) {
-  Packet pkt = make_data_packet(flow_id_, seq, meta.len, net_.now());
-  pkt.data_seq = meta.data_seq;
-  pkt.ecn_capable = config_.ecn_capable;
+  Packet* pkt = make_data_packet(net_.packets(), flow_id_, seq, meta.len, net_.now());
+  pkt->data_seq = meta.data_seq;
+  pkt->ecn_capable = config_.ecn_capable;
   last_send_time_ = net_.now();
   ++packets_sent_;
   if (retransmit) {
     ++retransmits_;
     bytes_retransmitted_ += meta.len;
   }
-  forward_->inject(std::move(pkt));
+  forward_->inject(pkt);
 }
 
 void TcpSrc::retransmit_one(std::int64_t seq) {
@@ -215,7 +215,9 @@ const TcpSrc::SentSegment* TcpSrc::find_segment(std::int64_t seq) const {
   return nullptr;
 }
 
-void TcpSrc::receive(Packet&& pkt) {
+void TcpSrc::receive(Packet* p) {
+  const PacketRelease done{net_.packets(), p};
+  const Packet& pkt = *p;
   MPCC_CHECK_INVARIANT(pkt.type == PacketType::kAck, "tcp.ack",
                        name() << ": non-ACK packet delivered to source");
   // Checksum failure (chaos corruption): discard silently — a corrupted ACK

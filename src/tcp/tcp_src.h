@@ -163,7 +163,7 @@ class TcpSrc : public PacketHandler, public EventSource {
   int consecutive_timeouts() const { return consecutive_timeouts_; }
 
   // --- PacketHandler (ACK arrival) & EventSource (start event) ---
-  void receive(Packet&& pkt) override;
+  void receive(Packet* pkt) override;
   void do_next_event() override;
 
   // --- state accessors for CC algorithms ---

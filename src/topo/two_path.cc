@@ -10,7 +10,7 @@ TwoPath::TwoPath(Network& net, TwoPathConfig config) : Topology(net), config_(co
     rev_[p] = net_.make_link(name + ":r", config_.rate[p], config_.delay[p],
                              config_.buffer[p]);
     if (config_.cross_traffic) {
-      cross_sinks_[p] = net_.emplace<CountingSink>();
+      cross_sinks_[p] = net_.emplace<CountingSink>(net_.packets());
       Route* cross_route = net_.make_route();
       cross_route->push_back(fwd_[p].queue);
       cross_route->push_back(fwd_[p].pipe);

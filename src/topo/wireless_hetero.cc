@@ -25,7 +25,7 @@ void WirelessHetero::build_path(std::size_t index, const std::string& name,
   rev_pipe_[index] = net_.make_lossy_pipe(name + ":rp", cfg.delay, cfg.loss_rate,
                                           cfg.jitter);
   if (config_.cross_traffic) {
-    cross_sinks_[index] = net_.emplace<CountingSink>();
+    cross_sinks_[index] = net_.emplace<CountingSink>(net_.packets());
     Route* cross = net_.make_route();
     cross->push_back(fwd_queue_[index]);
     cross->push_back(fwd_pipe_[index]);

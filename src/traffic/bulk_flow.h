@@ -14,14 +14,18 @@ namespace mpcc {
 /// Terminal handler that counts and discards (cross-traffic receiver).
 class CountingSink final : public PacketHandler {
  public:
-  void receive(Packet&& pkt) override {
+  explicit CountingSink(PacketPool& pool) : pool_(pool) {}
+
+  void receive(Packet* pkt) override {
     ++packets_;
-    bytes_ += pkt.payload;
+    bytes_ += pkt->payload;
+    pool_.deallocate(pkt);
   }
   std::uint64_t packets() const { return packets_; }
   Bytes bytes() const { return bytes_; }
 
  private:
+  PacketPool& pool_;
   std::uint64_t packets_ = 0;
   Bytes bytes_ = 0;
 };

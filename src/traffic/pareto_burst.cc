@@ -32,9 +32,9 @@ void CbrSource::stop() {
 void CbrSource::do_next_event() {
   pending_ = kInvalidEventToken;
   if (!running_) return;
-  Packet pkt = make_data_packet(flow_id_, static_cast<std::int64_t>(packets_sent_) * payload_,
-                                payload_, net_.now());
-  route_->inject(std::move(pkt));
+  route_->inject(make_data_packet(net_.packets(), flow_id_,
+                                  static_cast<std::int64_t>(packets_sent_) * payload_,
+                                  payload_, net_.now()));
   ++packets_sent_;
   const SimTime interval = transmission_time(payload_ + kHeaderBytes, rate_);
   pending_ = net_.events().schedule_in(this, interval);

@@ -66,8 +66,9 @@ class RingBuffer {
 
  private:
   /// Resets a popped element so it is not kept alive inside the ring. For
-  /// trivially destructible payloads (Packet and friends) this is a no-op —
-  /// the old bytes are dead either way — which keeps pops store-free.
+  /// trivially destructible payloads (packet handles and friends) this is a
+  /// no-op — the old bytes are dead either way — which keeps pops
+  /// store-free.
   static void release(T& v) {
     if constexpr (!std::is_trivially_destructible_v<T>) v = T{};
   }

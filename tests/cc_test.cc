@@ -196,7 +196,7 @@ double clean_path_share(const std::string& cc, std::uint64_t seed) {
   TwoPath topo(net, cfg);
 
   // Persistent 80 Mbps CBR on path 1 congests its queue.
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* cross = net.make_route();
   cross->push_back(const_cast<Queue*>(static_cast<const Queue*>(topo.forward_link(1).queue)));
   cross->push_back(topo.forward_link(1).pipe);
@@ -233,7 +233,7 @@ TEST(Dts, EpsilonReactsToMeasuredDelay) {
   // Congest path 1 only. The CBR must exceed link capacity to create a
   // *standing* queue (at 90 Mbps the queue would stay short and the delay
   // signal would barely move).
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* cross = net.make_route();
   cross->push_back(topo.forward_link(1).queue);
   cross->push_back(topo.forward_link(1).pipe);

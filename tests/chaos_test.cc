@@ -6,6 +6,7 @@
 // must surface as an "oracle" run failure), the chaos{} block in the .mpcc
 // DSL, and campaign bit-identity across --jobs parallelism and
 // --checkpoint/--resume.
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 #include "net/packet.h"
 #include "scenario/parser.h"
 #include "sim/context.h"
+#include "util/rng.h"
 
 namespace mpcc::chaos {
 namespace {
@@ -316,6 +318,40 @@ TEST(IntervalSetOracle, TracksContiguousPrefixAcrossMerges) {
   EXPECT_EQ(set.size(), 1u);
   set.add(500, 1500);  // fully covered already; no-op
   EXPECT_EQ(set.contiguous_prefix(), 2000);
+}
+
+// Random adds checked against a bitset model after every step: in-place
+// growth, absorption of the runs a range reaches, touching ranges
+// (half-open [a, b) and [b, c) merge) and empty ranges.
+TEST(IntervalSetOracle, MatchesBitsetModelUnderRandomAdds) {
+  constexpr int kSpan = 512;
+  Rng rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    IntervalSet set;
+    std::vector<bool> covered(kSpan, false);
+    for (int step = 0; step < 200; ++step) {
+      // Mostly short in-order-ish segments near the prefix, some far holes.
+      const std::int64_t begin =
+          rng.bernoulli(0.5) ? set.contiguous_prefix() : rng.uniform_int(0, kSpan - 1);
+      const std::int64_t len = rng.uniform_int(0, 40);
+      const std::int64_t end = std::min<std::int64_t>(begin + len, kSpan);
+      set.add(begin, end);
+      for (std::int64_t i = begin; i < end; ++i) covered[static_cast<std::size_t>(i)] = true;
+
+      std::int64_t model_prefix = 0;
+      while (model_prefix < kSpan && covered[static_cast<std::size_t>(model_prefix)]) {
+        ++model_prefix;
+      }
+      std::size_t model_runs = 0;
+      for (int i = 0; i < kSpan; ++i) {
+        if (covered[i] && (i == 0 || !covered[i - 1])) ++model_runs;
+      }
+      ASSERT_EQ(set.contiguous_prefix(), model_prefix)
+          << "trial " << trial << " step " << step << " add [" << begin << "," << end << ")";
+      ASSERT_EQ(set.size(), model_runs)
+          << "trial " << trial << " step " << step << " add [" << begin << "," << end << ")";
+    }
+  }
 }
 
 // The full differential scenario under a flaky campaign: no oracle fires,

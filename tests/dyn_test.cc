@@ -247,24 +247,24 @@ TEST(DynDriver, AppliesStepsAtScheduledTimes) {
 
 TEST(DynDriver, DownDropsTrafficUpRestoresIt) {
   DriverRig rig;
-  auto* sink = rig.net.emplace<CountingSink>();
+  auto* sink = rig.net.emplace<CountingSink>(rig.net.packets());
   Route* route = rig.net.make_route({rig.fwd.queue, rig.fwd.pipe, sink});
   rig.driver.arm(DynScript::parse("10ms down link; 30ms up link"));
 
-  route->inject(make_data_packet(1, 0, 100, 0));
+  route->inject(make_data_packet(rig.net.packets(), 1, 0, 100, 0));
   rig.net.events().run_until(5 * kMillisecond);
   EXPECT_EQ(sink->packets(), 1u);
   EXPECT_TRUE(rig.driver.link_up("link"));
 
   rig.net.events().run_until(15 * kMillisecond);
   EXPECT_FALSE(rig.driver.link_up("link"));
-  route->inject(make_data_packet(1, 1, 100, rig.net.now()));
+  route->inject(make_data_packet(rig.net.packets(), 1, 1, 100, rig.net.now()));
   rig.net.events().run_until(25 * kMillisecond);
   EXPECT_EQ(sink->packets(), 1u);  // dropped while down
 
   rig.net.events().run_until(35 * kMillisecond);
   EXPECT_TRUE(rig.driver.link_up("link"));
-  route->inject(make_data_packet(1, 2, 100, rig.net.now()));
+  route->inject(make_data_packet(rig.net.packets(), 1, 2, 100, rig.net.now()));
   rig.net.events().run_all();
   EXPECT_EQ(sink->packets(), 2u);
 }

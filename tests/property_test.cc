@@ -45,10 +45,10 @@ TEST_P(QueueConservation, ForwardedPlusDroppedEqualsArrived) {
   const QueueCase& c = GetParam();
   Network net(1);
   Queue* q = net.make_queue("q", c.rate, c.buffer);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route({q, sink});
   for (int i = 0; i < c.packets; ++i) {
-    route->inject(make_data_packet(1, i * 1460, 1460, net.now()));
+    route->inject(make_data_packet(net.packets(), 1, i * 1460, 1460, net.now()));
   }
   net.events().run_all();
   EXPECT_EQ(q->forwarded() + q->drops(), static_cast<std::uint64_t>(c.packets));
@@ -61,10 +61,10 @@ TEST_P(QueueConservation, ServiceTimeMatchesRate) {
   Network net(1);
   // Buffer large enough to hold everything: no drops, pure serialisation.
   Queue* q = net.make_queue("q", c.rate, static_cast<Bytes>(c.packets + 1) * 1500);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route({q, sink});
   for (int i = 0; i < c.packets; ++i) {
-    route->inject(make_data_packet(1, i * 1460, 1460, net.now()));
+    route->inject(make_data_packet(net.packets(), 1, i * 1460, 1460, net.now()));
   }
   net.events().run_all();
   const SimTime expected =

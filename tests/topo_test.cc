@@ -300,11 +300,11 @@ TEST(WirelessHetero, QueueLimitIs50Packets) {
   // Stuff 60 packets instantaneously: at most 50 may be queued.
   Route* r = net.make_route();
   r->push_back(const_cast<Queue*>(wh.bottleneck_queue(0)));
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   r->push_back(wh.forward_pipe(0));
   r->push_back(sink);
   for (int i = 0; i < 60; ++i) {
-    r->inject(make_data_packet(1, i * 1460, 1460, 0));
+    r->inject(make_data_packet(net.packets(), 1, i * 1460, 1460, 0));
   }
   EXPECT_EQ(wh.bottleneck_queue(0)->queued_packets(), 50u);
   EXPECT_EQ(wh.bottleneck_queue(0)->drops(), 10u);

@@ -16,7 +16,7 @@ namespace {
 TEST(CbrSource, EmitsAtConfiguredRate) {
   Network net(1);
   Queue* q = net.make_queue("q", gbps(10), 10'000'000);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route({q, sink});
   auto* cbr = net.emplace<CbrSource>(net, "cbr", mbps(12), route);
   cbr->start(0);
@@ -30,7 +30,7 @@ TEST(CbrSource, EmitsAtConfiguredRate) {
 TEST(CbrSource, StopHaltsEmission) {
   Network net(1);
   Queue* q = net.make_queue("q", gbps(10), 10'000'000);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route({q, sink});
   auto* cbr = net.emplace<CbrSource>(net, "cbr", mbps(10), route);
   cbr->start(0);
@@ -50,7 +50,7 @@ TEST(CbrSource, StopHaltsEmission) {
 TEST(ParetoBurst, DutyCycleMatchesConfig) {
   Network net(1);
   Queue* q = net.make_queue("q", gbps(10), 10'000'000);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route({q, sink});
   ParetoBurstConfig cfg;
   cfg.burst_rate = mbps(45);
@@ -79,7 +79,7 @@ TEST(ParetoBurst, DeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     Network net(1);
     Queue* q = net.make_queue("q", gbps(10), 10'000'000);
-    auto* sink = net.emplace<CountingSink>();
+    auto* sink = net.emplace<CountingSink>(net.packets());
     Route* route = net.make_route({q, sink});
     ParetoBurstConfig cfg;
     auto* burst = net.emplace<ParetoBurstSource>(net, "b", cfg, route, seed);

@@ -195,13 +195,13 @@ BenchRun bench_queue_pipe_packet(bool smoke) {
   const std::uint64_t iters = smoke ? 20'000 : 200'000;
   Network net(1);
   Link link = net.make_link("l", gbps(10), 10 * kMicrosecond, 10'000'000);
-  auto* sink = net.emplace<CountingSink>();
+  auto* sink = net.emplace<CountingSink>(net.packets());
   Route* route = net.make_route();
   link.append_to(*route);
   route->push_back(sink);
   std::int64_t seq = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
-    route->inject(make_data_packet(1, seq, 1460, net.now()));
+    route->inject(make_data_packet(net.packets(), 1, seq, 1460, net.now()));
     seq += 1460;
     net.events().run_all();
   }
